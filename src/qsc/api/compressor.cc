@@ -8,6 +8,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "qsc/api/hashing.h"
 #include "qsc/centrality/color_pivot.h"
@@ -67,19 +68,22 @@ StatusOr<std::string> ValidateBackend(const std::string& name) {
   return canonical;
 }
 
+// One left-to-right pass, linear in the pin count: the first bad pin is
+// reported, whether out of range or a repeat.
 Status ValidatePins(const std::vector<NodeId>& pinned, NodeId num_nodes) {
-  for (size_t i = 0; i < pinned.size(); ++i) {
-    if (pinned[i] < 0 || pinned[i] >= num_nodes) {
-      return Status::InvalidArgument(
-          "pinned node id " + NodeStr(pinned[i]) + " out of range [0, " +
-          NodeStr(num_nodes) + ")");
+  if (pinned.empty()) return Status::Ok();
+  std::vector<char> seen(num_nodes, 0);
+  for (const NodeId v : pinned) {
+    if (v < 0 || v >= num_nodes) {
+      return Status::InvalidArgument("pinned node id " + NodeStr(v) +
+                                     " out of range [0, " +
+                                     NodeStr(num_nodes) + ")");
     }
-    for (size_t j = 0; j < i; ++j) {
-      if (pinned[j] == pinned[i]) {
-        return Status::InvalidArgument("duplicate pinned node id " +
-                                       NodeStr(pinned[i]));
-      }
+    if (seen[v]) {
+      return Status::InvalidArgument("duplicate pinned node id " +
+                                     NodeStr(v));
     }
+    seen[v] = 1;
   }
   return Status::Ok();
 }

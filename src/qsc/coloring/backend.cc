@@ -5,8 +5,8 @@
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
+#include <vector>
 
-#include "qsc/coloring/bucket.h"
 #include "qsc/coloring/lp_rounding.h"
 #include "qsc/coloring/rothko.h"
 #include "qsc/util/check.h"
@@ -26,6 +26,38 @@ char AsciiLower(char c) {
 bool IsNameChar(char c, bool first) {
   const bool alnum = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9');
   return first ? alnum : alnum || c == '_' || c == '-';
+}
+
+// The `bucket` split rule (a SplitRule, coloring/rothko.h): degree
+// bucketing, the cheap structure-oblivious baseline (Slim Graph's simplest
+// kernel class) that any quality-claims plot must beat. The witness only
+// picks which color to cut; the cut ignores the witness weights, ranks the
+// members by total weighted degree (ties by node id) and peels the upper
+// half of the ranks. For undirected graphs OutWeight == InWeight, so the
+// sum double-counts uniformly and ranks are unaffected.
+void DegreeMedianSplit(const GraphView& g, const std::vector<NodeId>& members,
+                       const std::vector<double>& /*values*/,
+                       std::vector<NodeId>* eject) {
+  std::vector<NodeId> ranked = members;
+  std::sort(ranked.begin(), ranked.end(), [&g](NodeId a, NodeId b) {
+    const double da = g.OutWeight(a) + g.InWeight(a);
+    const double db = g.OutWeight(b) + g.InWeight(b);
+    if (da != db) return da < db;
+    return a < b;
+  });
+  // With >= 2 members both halves are non-empty.
+  eject->assign(ranked.begin() + ranked.size() / 2, ranked.end());
+}
+
+// The factory of a backend that is the Rothko engine with `rule`.
+ColoringBackendFactory RothkoWithRule(SplitRule rule) {
+  return [rule](const GraphView& g, Partition initial,
+                const ColoringParams& params) {
+    RothkoOptions options;
+    static_cast<ColoringParams&>(options) = params;
+    return std::unique_ptr<ColoringBackend>(
+        new RothkoRefiner(g, std::move(initial), options, rule));
+  };
 }
 
 }  // namespace
@@ -79,26 +111,15 @@ ColoringBackendRegistry& ColoringBackendRegistry::Global() {
     registry->Register(
         "rothko",
         "paper Algorithm 1: size-weighted worst-witness splits at the mean",
-        [](const GraphView& g, Partition initial, const ColoringParams& params) {
-          RothkoOptions options;
-          static_cast<ColoringParams&>(options) = params;
-          return std::unique_ptr<ColoringBackend>(
-              new RothkoRefiner(g, std::move(initial), options));
-        });
+        RothkoWithRule(nullptr));
     registry->Register(
         "lp-rounding",
         "witness splits as assignment LPs solved by simplex, then rounded",
-        [](const GraphView& g, Partition initial, const ColoringParams& params) {
-          return std::unique_ptr<ColoringBackend>(
-              new LpRoundingRefiner(g, std::move(initial), params));
-        });
+        RothkoWithRule(&LpRoundingSplit));
     registry->Register(
         "bucket",
         "weighted-degree bucketing at the median rank (cheap baseline)",
-        [](const GraphView& g, Partition initial, const ColoringParams& params) {
-          return std::unique_ptr<ColoringBackend>(
-              new BucketRefiner(g, std::move(initial), params));
-        });
+        RothkoWithRule(&DegreeMedianSplit));
     return registry;
   }();
   return *global;

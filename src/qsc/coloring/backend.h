@@ -26,17 +26,19 @@
 //   4. MemoryBytes() approximates the live heap footprint for the
 //      byte-budgeted cache's eviction accounting.
 //
-// Builtin backends (registered on first Global() use):
+// Builtin backends (registered on first Global() use). All three are one
+// engine, the incremental RothkoRefiner (paper Algorithm 1: size-weighted
+// worst-witness selection and the monotone step), and differ only in the
+// SplitRule (coloring/rothko.h) that cuts the witness's color:
 //
-//   rothko      - the paper's Algorithm 1 (RothkoRefiner): size-weighted
-//                 worst-witness selection, split at the witness mean.
-//   lp-rounding - LP-relaxation splits: the worst witness's member
-//                 weights are 2-center-clustered by a small assignment LP
-//                 solved with the in-tree simplex, then rounded
-//                 (coloring/lp_rounding.h).
-//   bucket      - degree bucketing: the worst-witness color is split at
-//                 the median rank of total weighted degree — the cheap
-//                 structure-oblivious baseline (coloring/bucket.h).
+//   rothko      - the default rule: split at the witness mean (or
+//                 geometric mean, per ColoringParams::split_mean).
+//   lp-rounding - the members' witness weights are split by a small
+//                 assignment LP solved with the in-tree simplex, then
+//                 rounded to a midrange cut (coloring/lp_rounding.h).
+//   bucket      - degree bucketing: the color is split at the median rank
+//                 of total weighted degree, ignoring the witness weights
+//                 — the cheap structure-oblivious baseline (backend.cc).
 
 #ifndef QSC_COLORING_BACKEND_H_
 #define QSC_COLORING_BACKEND_H_

@@ -1,26 +1,28 @@
 #include "qsc/coloring/lp_rounding.h"
 
 #include <algorithm>
-#include <utility>
+#include <cstdint>
 
 #include "qsc/lp/model.h"
 #include "qsc/lp/simplex.h"
 #include "qsc/util/check.h"
 
 namespace qsc {
+namespace {
 
-LpRoundingRefiner::LpRoundingRefiner(const GraphView& g, Partition initial,
-                                     const ColoringParams& params)
-    : WitnessSplitRefiner(g, std::move(initial), params) {}
+// Cap on LP columns per split; larger witness colors are quantile-merged.
+constexpr int64_t kMaxGroups = 256;
 
-std::vector<NodeId> LpRoundingRefiner::ChooseSplit(const Witness& witness) {
-  const std::vector<NodeId>& members = partition().Members(witness.split_color);
-  const std::vector<double>& weights = witness.weights;
+}  // namespace
+
+void LpRoundingSplit(const GraphView& /*g*/, const std::vector<NodeId>& members,
+                     const std::vector<double>& values,
+                     std::vector<NodeId>* eject) {
   const int64_t n = static_cast<int64_t>(members.size());
-  QSC_CHECK_EQ(n, static_cast<int64_t>(weights.size()));
+  QSC_CHECK_EQ(n, static_cast<int64_t>(values.size()));
 
   // Distinct witness weights, ascending; quantile-merge to <= kMaxGroups.
-  std::vector<double> distinct = weights;
+  std::vector<double> distinct = values;
   std::sort(distinct.begin(), distinct.end());
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
                  distinct.end());
@@ -37,10 +39,10 @@ std::vector<NodeId> LpRoundingRefiner::ChooseSplit(const Witness& witness) {
   std::vector<double> sum(num_groups, 0.0);
   std::vector<int64_t> member_group(n);
   for (int64_t i = 0; i < n; ++i) {
-    const int64_t g = group_of_weight(weights[i]);
+    const int64_t g = group_of_weight(values[i]);
     member_group[i] = g;
     ++count[g];
-    sum[g] += weights[i];
+    sum[g] += values[i];
   }
   const double mid = (distinct.front() + distinct.back()) / 2.0;
 
@@ -60,37 +62,21 @@ std::vector<NodeId> LpRoundingRefiner::ChooseSplit(const Witness& witness) {
   lp.b.push_back(-1.0);
 
   const LpResult result = SolveSimplex(lp);
-  lp_iterations_ += result.iterations;
-
-  std::vector<char> keep(num_groups, 0);
+  std::vector<char> ejected(num_groups, 0);
   if (result.status == LpStatus::kOptimal) {
     for (int64_t g = 0; g < num_groups; ++g) {
-      keep[g] = result.x[g] + 1e-9 >= static_cast<double>(count[g]) / 2.0;
+      ejected[g] = result.x[g] + 1e-9 >= static_cast<double>(count[g]) / 2.0;
     }
   } else {
     // Unreachable on this bounded feasible family; deterministic anyway.
     for (int64_t g = 0; g < num_groups; ++g) {
-      keep[g] = sum[g] / static_cast<double>(count[g]) > mid;
+      ejected[g] = sum[g] / static_cast<double>(count[g]) > mid;
     }
   }
-
-  // The coupling rows make the fractional solution non-degenerate, but
-  // rounding can still collapse a side; clamp by toggling a boundary
-  // group (num_groups >= 2 whenever the spread is positive).
-  int64_t kept = 0;
-  for (int64_t g = 0; g < num_groups; ++g) kept += keep[g] ? count[g] : 0;
-  if (kept == 0) keep[num_groups - 1] = 1;
-  if (kept == n) keep[0] = 0;
-
-  std::vector<NodeId> subset;
+  // A rounding that collapses one side is clamped by the engine.
   for (int64_t i = 0; i < n; ++i) {
-    if (keep[member_group[i]]) subset.push_back(members[i]);
+    if (ejected[member_group[i]]) eject->push_back(members[i]);
   }
-  return subset;
-}
-
-int64_t LpRoundingRefiner::MemoryBytes() const {
-  return WitnessSplitRefiner::MemoryBytes();
 }
 
 }  // namespace qsc

@@ -22,9 +22,11 @@ constexpr int64_t kMemberGrain = 2048;
 
 class RothkoRefiner::Impl {
  public:
-  Impl(const GraphView& g, Partition initial, RothkoOptions options)
+  Impl(const GraphView& g, Partition initial, RothkoOptions options,
+       SplitRule rule)
       : graph_(g),
         options_(options),
+        split_rule_(rule),
         partition_(std::move(initial)),
         directed_(!g.undirected()) {
     QSC_CHECK_EQ(g.num_nodes(), partition_.num_nodes());
@@ -383,7 +385,7 @@ class RothkoRefiner::Impl {
     // reduction, so both parallelize bit-identically; the arithmetic-mean
     // sum is order-sensitive and stays a sequential fold over the
     // materialized values, which accumulates in exactly the reference
-    // implementation's index order.
+    // implementation's index order. A split rule sees the same values.
     std::vector<double>& values = split_values_;
     values.resize(size);
     ThreadPool* scan_pool =
@@ -405,31 +407,37 @@ class RothkoRefiner::Impl {
         });
     const double lo = env.lo;
     const double hi = env.hi;
-    bool has_negative = lo < 0.0;
-    double sum = 0.0;
-    for (size_t i = 0; i < size; ++i) sum += values[i];
     QSC_CHECK_GT(hi, lo);  // Witness error was positive.
 
-    double threshold;
-    if (options_.split_mean == RothkoOptions::SplitMean::kGeometric &&
-        !has_negative) {
-      double log_sum = 0.0;
-      for (double v : values) log_sum += std::log1p(v);
-      threshold = std::expm1(log_sum / static_cast<double>(size));
-    } else {
-      threshold = sum / static_cast<double>(size);
-    }
-
-    // Retain nodes at or below the threshold, eject the rest (Algorithm 1
-    // lines 10-13).
     std::vector<NodeId>& eject = eject_;
     eject.clear();
-    for (size_t i = 0; i < size; ++i) {
-      if (values[i] > threshold) eject.push_back(members[i]);
+    if (split_rule_ != nullptr) {
+      split_rule_(graph_, members, values, &eject);
+    } else {
+      bool has_negative = lo < 0.0;
+      double sum = 0.0;
+      for (size_t i = 0; i < size; ++i) sum += values[i];
+
+      double threshold;
+      if (options_.split_mean == RothkoOptions::SplitMean::kGeometric &&
+          !has_negative) {
+        double log_sum = 0.0;
+        for (double v : values) log_sum += std::log1p(v);
+        threshold = std::expm1(log_sum / static_cast<double>(size));
+      } else {
+        threshold = sum / static_cast<double>(size);
+      }
+
+      // Retain nodes at or below the threshold, eject the rest (Algorithm
+      // 1 lines 10-13).
+      for (size_t i = 0; i < size; ++i) {
+        if (values[i] > threshold) eject.push_back(members[i]);
+      }
     }
     if (eject.empty() || eject.size() == size) {
-      // Floating-point edge case (threshold rounded onto an extreme):
-      // split strictly above the minimum instead.
+      // Degenerate cut (a threshold rounded onto an extreme, or a rule
+      // that kept or ejected everyone): split strictly above the minimum
+      // instead.
       eject.clear();
       for (size_t i = 0; i < size; ++i) {
         if (values[i] > lo) eject.push_back(members[i]);
@@ -485,6 +493,7 @@ class RothkoRefiner::Impl {
 
   GraphView graph_;
   RothkoOptions options_;
+  SplitRule split_rule_;  // null: the split_mean threshold
   Partition partition_;
   bool directed_;
 
@@ -517,8 +526,8 @@ class RothkoRefiner::Impl {
 };
 
 RothkoRefiner::RothkoRefiner(const GraphView& g, Partition initial,
-                             RothkoOptions options)
-    : impl_(new Impl(g, std::move(initial), options)) {}
+                             RothkoOptions options, SplitRule rule)
+    : impl_(new Impl(g, std::move(initial), options, rule)) {}
 
 RothkoRefiner::~RothkoRefiner() = default;
 

@@ -19,6 +19,13 @@
 // to the split color's volume), and witnesses are found through lazy
 // max-heaps, so building a k-color refinement does not rescan the graph k
 // times.
+//
+// The cut itself is pluggable: a SplitRule decides which members of the
+// chosen color move into the new color. The default (null) rule is the
+// paper's mean / geometric-mean threshold; the `lp-rounding` and `bucket`
+// compression backends (coloring/backend.cc) are this same engine with a
+// different rule, so every backend shares witness selection, the
+// monotone step and the incremental bookkeeping.
 
 #ifndef QSC_COLORING_ROTHKO_H_
 #define QSC_COLORING_ROTHKO_H_
@@ -67,12 +74,27 @@ struct RothkoStep {
   double elapsed_seconds;  // since refiner construction
 };
 
+// A witness-split rule. `members` is Members(split_color) and `values[i]`
+// is the witness weight of members[i] (0 when it has no edge toward the
+// witness's other color); the spread max - min is positive. The rule
+// appends to the empty `eject` the members to peel into the new color.
+// If the answer is empty or takes every member, the engine instead ejects
+// the members strictly above the minimum weight. Rules must be
+// deterministic and are always called from the refiner's own thread.
+using SplitRule = void (*)(const GraphView& g,
+                           const std::vector<NodeId>& members,
+                           const std::vector<double>& values,
+                           std::vector<NodeId>* eject);
+
 // Incremental refiner; use RothkoColoring() unless you need the anytime /
-// co-routine interface. Registered as the `rothko` compression backend
-// (coloring/backend.h).
+// co-routine interface. Every builtin compression backend is this refiner
+// with its own SplitRule (coloring/backend.h).
 class RothkoRefiner : public ColoringBackend {
  public:
-  RothkoRefiner(const GraphView& g, Partition initial, RothkoOptions options);
+  // `rule` (null = the mean / geometric-mean threshold of
+  // options.split_mean) chooses how the worst witness's color is cut.
+  RothkoRefiner(const GraphView& g, Partition initial, RothkoOptions options,
+                SplitRule rule = nullptr);
   ~RothkoRefiner() override;
 
   RothkoRefiner(const RothkoRefiner&) = delete;

@@ -107,6 +107,27 @@ TEST(CompressorValidationTest, RejectsOutOfRangePins) {
   const auto dup = session.Coloring(query);
   ASSERT_FALSE(dup.ok());
   EXPECT_NE(dup.status().message().find("duplicate"), std::string::npos);
+
+  // Long pin lists are validated in one linear pass; the first bad pin
+  // is still the one reported.
+  const NodeId n = session.graph().num_nodes();
+  std::vector<NodeId> every_node(n);
+  for (NodeId v = 0; v < n; ++v) every_node[v] = v;
+  query.pinned = every_node;
+  query.pinned.push_back(n);
+  const auto out_of_range = session.Coloring(query);
+  ASSERT_FALSE(out_of_range.ok());
+  EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(out_of_range.status().message(),
+            "pinned node id " + std::to_string(n) + " out of range [0, " +
+                std::to_string(n) + ")");
+  query.pinned = every_node;
+  query.pinned.push_back(n / 2);
+  const auto repeat = session.Coloring(query);
+  ASSERT_FALSE(repeat.ok());
+  EXPECT_EQ(repeat.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(repeat.status().message(),
+            "duplicate pinned node id " + std::to_string(n / 2));
 }
 
 TEST(CompressorValidationTest, RejectsUndirectedMaxFlow) {

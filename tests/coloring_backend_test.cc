@@ -1,11 +1,13 @@
 // The compression-backend registry and the ColoringBackend contract
 // (src/qsc/coloring/backend.h): canonical-name handling, the three builtin
 // registrations, and — per backend — the monotone anytime Step(), strict
-// color growth, cap truncation, resume-equals-fresh determinism, and
-// MemoryBytes accounting the ColoringCache depends on.
+// color growth, cap truncation, resume-equals-fresh and pool-size
+// determinism, and MemoryBytes accounting the ColoringCache depends on;
+// plus the exact first cut of each non-default split rule.
 
 #include "qsc/coloring/backend.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "qsc/coloring/rothko.h"
 #include "qsc/graph/generators.h"
 #include "qsc/graph/graph.h"
+#include "qsc/parallel/thread_pool.h"
 #include "qsc/util/random.h"
 
 #include "rothko_corpus.h"
@@ -176,6 +179,38 @@ TEST_P(BackendContractTest, ResumeEqualsFresh) {
   }
 }
 
+TEST_P(BackendContractTest, ResultsDoNotDependOnPoolSize) {
+  // Contract 2: the split sequence is independent of the pool size. The
+  // graphs are large enough that the first splits' member scans take the
+  // pooled path, and every split scores its affected colors on the pool.
+  ThreadPool two(2);
+  ThreadPool eight(8);
+  for (const bool directed : {false, true}) {
+    Rng rng(17);
+    const Graph g = directed ? WeightedHubGraph(6000, 3, 9, rng)
+                             : BarabasiAlbert(6000, 3, rng);
+    ColoringParams params;
+    const std::unique_ptr<ColoringBackend> serial =
+        Make(GetParam(), g, params);
+    params.pool = &two;
+    const std::unique_ptr<ColoringBackend> pooled2 =
+        Make(GetParam(), g, params);
+    params.pool = &eight;
+    const std::unique_ptr<ColoringBackend> pooled8 =
+        Make(GetParam(), g, params);
+    for (int step = 0; step < 24; ++step) {
+      const bool more = serial->Step();
+      ASSERT_EQ(pooled2->Step(), more) << "step " << step;
+      ASSERT_EQ(pooled8->Step(), more) << "step " << step;
+      ASSERT_TRUE(pooled2->partition() == serial->partition()) << step;
+      ASSERT_TRUE(pooled8->partition() == serial->partition()) << step;
+      ASSERT_EQ(pooled2->CurrentMaxError(), serial->CurrentMaxError());
+      ASSERT_EQ(pooled8->CurrentMaxError(), serial->CurrentMaxError());
+      if (!more) break;
+    }
+  }
+}
+
 TEST_P(BackendContractTest, QToleranceStopsRefinement) {
   const Graph g = DenseTestGraph(11);
   ColoringParams params;
@@ -220,6 +255,43 @@ TEST(BackendDistinctnessTest, KernelsProduceDistinctColorings) {
     differs = rothko.ColorOf(v) != bucket.ColorOf(v);
   }
   EXPECT_TRUE(differs);
+}
+
+// --- the exact first cut of each non-default rule -------------------------
+
+// The members peeled off by the first split of the trivial partition
+// (a cap of 2 colors stops the step after exactly one split), sorted.
+std::vector<NodeId> FirstSplitEjects(const std::string& name, const Graph& g) {
+  const std::unique_ptr<ColoringBackend> backend = Make(name, g);
+  EXPECT_TRUE(backend->Step(/*color_cap=*/2));
+  EXPECT_EQ(backend->partition().num_colors(), 2);
+  std::vector<NodeId> ejected = backend->partition().Members(1);
+  std::sort(ejected.begin(), ejected.end());
+  return ejected;
+}
+
+TEST(BackendSplitRuleTest, BucketPeelsTheUpperHalfOfTheDegreeRanks) {
+  // A directed 6-cycle with uneven weights. Total weighted degree
+  // (OutWeight + InWeight) per node: 0:3+1=4, 1:1+3=4, 2:1+1=2, 3:2+1=3,
+  // 4:1+2=3, 5:1+1=2. Ranked ascending with ties by id: 2 5 3 | 4 0 1 —
+  // the median falls inside the 3/4 tie, so the id tie-break decides.
+  const std::vector<EdgeTriple> arcs = {{0, 1, 3.0}, {1, 2, 1.0}, {2, 3, 1.0},
+                                        {3, 4, 2.0}, {4, 5, 1.0}, {5, 0, 1.0}};
+  const Graph g = Graph::FromEdges(6, arcs, /*undirected=*/false);
+  EXPECT_EQ(FirstSplitEjects("bucket", g), (std::vector<NodeId>{0, 1, 4}));
+}
+
+TEST(BackendSplitRuleTest, LpRoundingEjectsTheMembersAboveTheMidrange) {
+  // An undirected star, hub 5, leaf weights 1 1 1 1 3: weighted degrees
+  // 1 1 1 1 3 7. Under the trivial partition the only witness is the
+  // color toward itself, so these degrees are the witness weights. The
+  // midrange is 4 (no weight equals it) and only the hub lies above; the
+  // witness mean 14/6 would also eject node 4.
+  const std::vector<EdgeTriple> edges = {{5, 0, 1.0}, {5, 1, 1.0}, {5, 2, 1.0},
+                                         {5, 3, 1.0}, {5, 4, 3.0}};
+  const Graph g = Graph::FromEdges(6, edges, /*undirected=*/true);
+  EXPECT_EQ(FirstSplitEjects("lp-rounding", g), (std::vector<NodeId>{5}));
+  EXPECT_EQ(FirstSplitEjects("rothko", g), (std::vector<NodeId>{4, 5}));
 }
 
 }  // namespace
