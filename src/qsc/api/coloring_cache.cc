@@ -27,11 +27,11 @@ ColoringParams ToColoringParams(const ColoringSpec& spec, ThreadPool* pool) {
 // backend. Aborts on unregistered names (the Compressor boundary
 // validates before a spec reaches the cache).
 std::unique_ptr<dynamic::IncrementalRecolorer> MakeBackend(
-    const GraphView& view, std::shared_ptr<const void> keepalive,
-    const ColoringSpec& spec, ThreadPool* pool) {
+    const GraphStore& graph, const ColoringSpec& spec, ThreadPool* pool) {
   return std::make_unique<dynamic::IncrementalRecolorer>(
-      view, std::move(keepalive), api_internal::BackendOrDefault(spec.backend),
-      InitialPartition(spec, view.num_nodes()), ToColoringParams(spec, pool));
+      graph, api_internal::BackendOrDefault(spec.backend),
+      InitialPartition(spec, graph.view().num_nodes()),
+      ToColoringParams(spec, pool));
 }
 
 }  // namespace
@@ -134,24 +134,10 @@ struct ColoringCache::Entry {
   }
 };
 
-ColoringCache::ColoringCache(std::shared_ptr<const Graph> graph,
-                             ThreadPool* pool,
+ColoringCache::ColoringCache(GraphStore graph, ThreadPool* pool,
                              const ColoringCacheOptions& options)
     : graph_(std::move(graph)), pool_(pool), options_(options) {
-  QSC_CHECK(graph_ != nullptr);
-  QSC_CHECK_GE(options_.byte_budget, 0);
-  view_ = GraphView(*graph_);
-  keepalive_ = graph_;
-}
-
-ColoringCache::ColoringCache(GraphView view,
-                             std::shared_ptr<const void> keepalive,
-                             ThreadPool* pool,
-                             const ColoringCacheOptions& options)
-    : view_(std::move(view)),
-      keepalive_(std::move(keepalive)),
-      pool_(pool),
-      options_(options) {
+  QSC_CHECK(!graph_.empty());
   QSC_CHECK_GE(options_.byte_budget, 0);
 }
 
@@ -194,17 +180,14 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   // eviction scan — it runs under the unique lock and skips active
   // entries — from dropping an entry a request is about to refine.
   std::shared_ptr<Entry> entry;
-  // The graph view this request refines against (plus the keepalive that
-  // pins its storage), snapshotted under the map lock (never under an
-  // entry mutex — ApplyGraph holds the map lock while acquiring entry
-  // mutexes, so the reverse order would deadlock).
-  GraphView view;
-  std::shared_ptr<const void> keepalive;
+  // The graph this request refines against, snapshotted under the map
+  // lock (never under an entry mutex — ApplyGraph holds the map lock while
+  // acquiring entry mutexes, so the reverse order would deadlock).
+  GraphStore graph;
   bool found = true;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    view = view_;
-    keepalive = keepalive_;
+    graph = graph_;
     const auto it = entries_.find(spec);
     if (it != entries_.end()) {
       entry = it->second;
@@ -213,8 +196,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   }
   if (entry == nullptr) {
     std::unique_lock<std::shared_mutex> lock(mutex_);
-    view = view_;
-    keepalive = keepalive_;
+    graph = graph_;
     const auto [it, inserted] = entries_.try_emplace(spec, nullptr);
     if (inserted) it->second = std::make_shared<Entry>();
     found = !inserted;
@@ -238,7 +220,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   {
     std::lock_guard<std::mutex> entry_lock(entry->mutex);
     if (entry->refiner == nullptr) {
-      entry->refiner = MakeBackend(view, keepalive, spec, pool_);
+      entry->refiner = MakeBackend(graph, spec, pool_);
       entry->initial_colors = entry->refiner->partition().num_colors();
     }
 
@@ -250,10 +232,11 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
     if (entry->refiner->partition().num_colors() > budget) {
       // Down-budget request on a refiner that has already split past
       // `budget`: serve the memoized snapshot, or recompute this budget
-      // once.
+      // once. A miss landing here (a racing request refined its new
+      // entry first) is already attributed.
       const auto served = entry->served.find(budget);
       if (served != entry->served.end()) {
-        {
+        if (found) {
           std::lock_guard<std::mutex> lock(stats_mutex_);
           ++stats_.hits;
           ++stats_.per_backend[backend_name].hits;
@@ -263,7 +246,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
         handle.max_error = served->second.second;
       } else {
         std::unique_ptr<dynamic::IncrementalRecolorer> fresh =
-            MakeBackend(view, keepalive, spec, pool_);
+            MakeBackend(graph, spec, pool_);
         const ColorId initial = fresh->partition().num_colors();
         while (fresh->partition().num_colors() < budget &&
                fresh->Step(budget)) {
@@ -271,11 +254,13 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
         handle.splits = fresh->partition().num_colors() - initial;
         {
           std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.recolorings;
           stats_.refine_splits += handle.splits;
           CacheStats::BackendStats& row = stats_.per_backend[backend_name];
-          ++row.recolorings;
           row.refine_splits += handle.splits;
+          if (found) {
+            ++stats_.recolorings;
+            ++row.recolorings;
+          }
         }
         handle.partition =
             std::make_shared<const Partition>(fresh->partition());
@@ -322,11 +307,10 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
 }
 
 ColoringCache::EditApplyStats ColoringCache::ApplyGraph(
-    std::shared_ptr<const Graph> new_graph,
-    const std::vector<dynamic::EditOp>& edits,
+    GraphStore new_graph, const std::vector<dynamic::EditOp>& edits,
     const dynamic::RepairOptions& options) {
-  QSC_CHECK(new_graph != nullptr);
-  QSC_CHECK_EQ(new_graph->num_nodes(), view_.num_nodes());
+  QSC_CHECK(!new_graph.empty());
+  QSC_CHECK_EQ(new_graph.view().num_nodes(), graph_.view().num_nodes());
   EditApplyStats result;
   // (backend row, repaired?) per visited entry, applied to the stats
   // after the map lock drops.
@@ -337,8 +321,6 @@ ColoringCache::EditApplyStats ColoringCache::ApplyGraph(
     // waits on the map lock while holding an entry mutex.
     std::unique_lock<std::shared_mutex> lock(mutex_);
     graph_ = std::move(new_graph);
-    view_ = GraphView(*graph_);
-    keepalive_ = graph_;
     for (auto& [spec, entry] : entries_) {
       std::lock_guard<std::mutex> entry_lock(entry->mutex);
       if (entry->refiner == nullptr) {

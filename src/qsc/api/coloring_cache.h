@@ -28,6 +28,9 @@
 // depends on arrival order; totals still satisfy
 // hits + misses + recolorings == lookups.
 //
+// The graph is one GraphStore (graph/graph_store.h), owned or mapped;
+// every refiner runs over its view and holds a copy of the store.
+//
 // Byte budget (ColoringCacheOptions): a long-lived server cannot let the
 // entry map grow without bound, so the cache tracks the footprint of every
 // entry (live refiner + distinct served snapshots) and, when a budget is
@@ -58,8 +61,7 @@
 #include "qsc/coloring/rothko.h"
 #include "qsc/dynamic/edit_stream.h"
 #include "qsc/dynamic/incremental.h"
-#include "qsc/graph/graph.h"
-#include "qsc/graph/graph_view.h"
+#include "qsc/graph/graph_store.h"
 
 namespace qsc {
 
@@ -118,9 +120,10 @@ Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes);
 // {hit, miss, recoloring}, so hits + misses + recolorings == lookups — in
 // the totals AND within every per_backend row. Which bucket a racing
 // down-budget pair lands in is arrival-order-dependent (documented in the
-// file comment), but the invariant itself holds under any interleaving
-// because the attribution is decided while the lookup is counted
-// (tests/api_compressor_test.cc and the concurrency suite assert it).
+// file comment), but the invariant holds under any interleaving: a miss
+// is attributed once, when the lookup is counted, even if a racing
+// request refined its entry first (tests/api_compressor_test.cc and the
+// concurrency suite assert it).
 struct CacheStats {
   // One backend's share of the traffic, keyed by canonical backend name
   // in per_backend (a "" spec is accounted under kDefaultColoringBackend).
@@ -187,22 +190,12 @@ class ColoringCache {
     double seconds = 0.0;    // wall-clock cost of this request
   };
 
-  // `graph` must be non-null; the cache shares ownership. `pool` (not
-  // owned, may be null) accelerates each refiner's split scoring without
-  // changing any partition — refinement is bit-identical for any pool
-  // size (RothkoOptions::pool). `options` configures the byte budget.
-  explicit ColoringCache(std::shared_ptr<const Graph> graph,
-                         ThreadPool* pool = nullptr,
+  // Refiners run over `graph.view()` (owned or mapped; must not be
+  // empty). `pool` (not owned, may be null) speeds up split scoring
+  // without changing any partition (RothkoOptions::pool). `options`
+  // configures the byte budget.
+  explicit ColoringCache(GraphStore graph, ThreadPool* pool = nullptr,
                          const ColoringCacheOptions& options = {});
-
-  // View-backed construction (the mmap serving path): refiners run over
-  // `view` without an owning Graph ever materializing. `keepalive` (may be
-  // null) pins whatever owns the viewed arrays — typically the session's
-  // MappedGraph. graph() is invalid on such a cache until the first
-  // ApplyGraph(); every other member behaves identically.
-  ColoringCache(GraphView view, std::shared_ptr<const void> keepalive,
-                ThreadPool* pool = nullptr,
-                const ColoringCacheOptions& options = {});
   ~ColoringCache();
 
   ColoringCache(const ColoringCache&) = delete;
@@ -244,23 +237,9 @@ class ColoringCache {
   // against every Refine(); qsc::Compressor additionally guarantees no
   // query is mid-flight (its session lock), which keeps a query's
   // coloring and solve on one graph version.
-  EditApplyStats ApplyGraph(std::shared_ptr<const Graph> new_graph,
+  EditApplyStats ApplyGraph(GraphStore new_graph,
                             const std::vector<dynamic::EditOp>& edits,
                             const dynamic::RepairOptions& options);
-
-  // The current owning graph. ApplyGraph replaces it, so the reference
-  // from graph() is only stable between edit batches; shared_graph()
-  // snapshots shared ownership under the map lock and is always safe.
-  // Invalid (aborts) on a view-backed cache that has not seen ApplyGraph;
-  // null from shared_graph() in that state.
-  const Graph& graph() const {
-    QSC_CHECK(graph_ != nullptr);
-    return *graph_;
-  }
-  std::shared_ptr<const Graph> shared_graph() const {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return graph_;
-  }
 
   // Snapshot of the amortization counters (consistent under concurrency).
   CacheStats stats() const;
@@ -274,13 +253,9 @@ class ColoringCache {
   // evicts LRU idle entries while the total exceeds the budget.
   void FinishUse(const std::shared_ptr<Entry>& entry, int64_t new_bytes);
 
-  // The serving substrate: every refiner is built over view_, and
-  // keepalive_ pins its backing storage (the owning graph_ or a mapped
-  // file). graph_ is null for view-backed caches until ApplyGraph swaps
-  // in an owning mutated graph. All three are guarded by mutex_.
-  std::shared_ptr<const Graph> graph_;
-  GraphView view_;
-  std::shared_ptr<const void> keepalive_;
+  // The serving substrate: every refiner is built over graph_.view().
+  // ApplyGraph swaps in the mutated graph; guarded by mutex_.
+  GraphStore graph_;
   ThreadPool* pool_;
   ColoringCacheOptions options_;
 

@@ -15,8 +15,7 @@
 #include "qsc/coloring/reduced_graph.h"
 #include "qsc/flow/push_relabel.h"
 #include "qsc/flow/uniform_flow.h"
-#include "qsc/graph/graph_view.h"
-#include "qsc/graph/io.h"
+#include "qsc/graph/graph_store.h"
 #include "qsc/parallel/parallel_for.h"
 #include "qsc/util/timer.h"
 
@@ -143,61 +142,35 @@ bool LpEquals(const LpProblem& a, const LpProblem& b) {
 
 class Compressor::Impl {
  public:
-  Impl(std::shared_ptr<const Graph> graph, ThreadPool* pool,
-       const CompressorOptions& options)
+  // `graph` is owning, mapped (Compressor::FromFile: queries run over a
+  // view of the mapped payload until graph() or ApplyEdits materializes
+  // it), or empty (an LP-only session).
+  Impl(GraphStore graph, ThreadPool* pool, const CompressorOptions& options)
       : graph_(std::move(graph)), pool_(pool) {
-    if (graph_ != nullptr) {
-      view_ = GraphView(*graph_);
-      if (graph_->num_nodes() > 0) {
-        ColoringCacheOptions cache_options;
-        cache_options.byte_budget = options.coloring_cache_byte_budget;
-        cache_ = std::make_unique<ColoringCache>(graph_, pool_, cache_options);
-      }
-    }
-  }
-
-  // The mmap serving path (Compressor::FromFile): queries run over a view
-  // of the mapped payload; no owning Graph exists until graph() or
-  // ApplyEdits materializes one.
-  Impl(std::shared_ptr<const MappedGraph> mapped, ThreadPool* pool,
-       const CompressorOptions& options)
-      : mapped_(std::move(mapped)), pool_(pool) {
-    QSC_CHECK(mapped_ != nullptr);
-    view_ = GraphView::Of(*mapped_);
-    if (view_.num_nodes() > 0) {
+    if (graph_.view().num_nodes() > 0) {
       ColoringCacheOptions cache_options;
       cache_options.byte_budget = options.coloring_cache_byte_budget;
-      cache_ = std::make_unique<ColoringCache>(view_, mapped_, pool_,
-                                               cache_options);
+      cache_ = std::make_unique<ColoringCache>(graph_, pool_, cache_options);
     }
   }
 
-  bool has_graph() const { return graph_ != nullptr || mapped_ != nullptr; }
+  bool has_graph() const { return !graph_.empty(); }
 
-  const Graph& graph() {
-    {
-      const std::shared_lock<std::shared_mutex> lock(session_mutex_);
-      if (graph_ != nullptr) return *graph_;
-    }
-    // Mapped session, first graph() call: materialize an owning copy once,
-    // under the writer lock. Queries keep serving from view_ (still on the
-    // mapping), so this changes footprint, never results.
-    const std::unique_lock<std::shared_mutex> lock(session_mutex_);
-    QSC_CHECK(mapped_ != nullptr);
-    if (graph_ == nullptr) {
-      graph_ = std::make_shared<const Graph>(mapped_->Materialize());
-    }
-    return *graph_;
+  // A mapped store materializes once, thread-safely; queries keep serving
+  // from its view, so this changes footprint, never results.
+  const Graph& graph() const {
+    const std::shared_lock<std::shared_mutex> lock(session_mutex_);
+    return graph_.graph();
   }
 
   // FailedPrecondition (not InvalidArgument): the request may be fine, but
   // this session cannot serve graph queries.
   Status RequireGraph() const {
-    if (graph_ == nullptr && mapped_ == nullptr) {
+    if (graph_.empty()) {
       return Status::FailedPrecondition(
           "graph query on an LP-only session (no graph)");
     }
-    if (view_.num_nodes() == 0) {
+    if (graph_.view().num_nodes() == 0) {
       return Status::FailedPrecondition("session graph is empty");
     }
     return Status::Ok();
@@ -207,7 +180,8 @@ class Compressor::Impl {
     const std::shared_lock<std::shared_mutex> session_lock(session_mutex_);
     QSC_RETURN_IF_ERROR(RequireGraph());
     QSC_RETURN_IF_ERROR(ValidateCommonOptions(options));
-    QSC_RETURN_IF_ERROR(ValidatePins(options.pinned, view_.num_nodes()));
+    QSC_RETURN_IF_ERROR(
+        ValidatePins(options.pinned, graph_.view().num_nodes()));
     StatusOr<std::string> backend = ValidateBackend(options.backend);
     if (!backend.ok()) return backend.status();
 
@@ -336,14 +310,15 @@ class Compressor::Impl {
       if (session->refiner->num_colors() > options.max_colors) {
         // The cached matrix coloring has refined past this budget and
         // splits are not invertible: recompute this budget from scratch
-        // once and memoize (mirrors ColoringCache's down-budget path).
+        // once and memoize (mirrors ColoringCache's down-budget path,
+        // including its once-only attribution of a racing miss).
         const auto served = session->down_served.find(options.max_colors);
         if (served != session->down_served.end()) {
-          CountLpStat(&CompressorStats::lp_hits);
+          if (found) CountLpStat(&CompressorStats::lp_hits);
           result.telemetry.coloring_cache_hit = true;
           result.reduced = served->second;
         } else {
-          CountLpStat(&CompressorStats::lp_recolorings);
+          if (found) CountLpStat(&CompressorStats::lp_recolorings);
           LpColoringRefiner fresh(session->lp, reduce_options);
           result.reduced = fresh.ReduceTo(options.max_colors);
           session->down_served.emplace(options.max_colors, result.reduced);
@@ -370,7 +345,8 @@ class Compressor::Impl {
     const std::shared_lock<std::shared_mutex> session_lock(session_mutex_);
     QSC_RETURN_IF_ERROR(RequireGraph());
     QSC_RETURN_IF_ERROR(ValidateCommonOptions(options));
-    QSC_RETURN_IF_ERROR(ValidatePins(options.pinned, view_.num_nodes()));
+    QSC_RETURN_IF_ERROR(
+        ValidatePins(options.pinned, graph_.view().num_nodes()));
     if (options.pivots_per_color < 1) {
       return Status::InvalidArgument(
           "pivots_per_color must be >= 1; got " +
@@ -392,8 +368,8 @@ class Compressor::Impl {
     result.telemetry.graph_version = graph_version_;
     WallTimer timer;
     result.scores =
-        ColorPivotScores(view_, *handle.partition, options.pivots_per_color,
-                         options.seed, pool_);
+        ColorPivotScores(graph_.view(), *handle.partition,
+                         options.pivots_per_color, options.seed, pool_);
     result.telemetry.solve_seconds = timer.ElapsedSeconds();
     return result;
   }
@@ -413,24 +389,18 @@ class Compressor::Impl {
     // changes, so a query's coloring and solve always agree on one graph.
     const std::unique_lock<std::shared_mutex> session_lock(session_mutex_);
     QSC_RETURN_IF_ERROR(RequireGraph());
-    if (graph_ == nullptr) {
-      // Copy-on-write for mapped sessions: the first edit batch
-      // materializes an owning graph to mutate (bit-identical to the
-      // mapping; the qsc-bin round-trip contract).
-      graph_ = std::make_shared<const Graph>(mapped_->Materialize());
-    }
-    StatusOr<Graph> mutated = dynamic::ApplyEditBatch(*graph_, edits);
+    // Copy-on-write for mapped sessions: graph() materializes the mapping
+    // once (bit-identical to it; the qsc-bin round-trip contract). A
+    // failed batch leaves the session serving the unchanged store.
+    StatusOr<Graph> mutated = dynamic::ApplyEditBatch(graph_.graph(), edits);
     if (!mutated.ok()) return mutated.status();
-    auto new_graph =
-        std::make_shared<const Graph>(std::move(mutated).value());
+    GraphStore next(std::make_shared<const Graph>(std::move(mutated).value()));
 
     dynamic::RepairOptions repair;
     repair.max_repair_splits = options.max_repair_splits;
     const ColoringCache::EditApplyStats repaired =
-        cache_->ApplyGraph(new_graph, edits, repair);
-    graph_ = std::move(new_graph);
-    view_ = GraphView(*graph_);
-    mapped_.reset();  // the mapping no longer backs anything
+        cache_->ApplyGraph(next, edits, repair);
+    graph_ = std::move(next);  // releases the old graph and any mapping
     ++graph_version_;
 
     EditApplyResult result;
@@ -503,7 +473,7 @@ class Compressor::Impl {
       const StatusOr<std::string> backend = ValidateBackend(options.backend);
       if (!backend.ok()) return backend.status();
     }
-    const NodeId n = view_.num_nodes();
+    const NodeId n = graph_.view().num_nodes();
     if (source < 0 || source >= n) {
       return Status::InvalidArgument("source node id " + NodeStr(source) +
                                      " out of range [0, " + NodeStr(n) + ")");
@@ -516,7 +486,7 @@ class Compressor::Impl {
       return Status::InvalidArgument(
           "source and sink must differ; both are " + NodeStr(source));
     }
-    if (view_.undirected()) {
+    if (graph_.view().undirected()) {
       return Status::InvalidArgument(
           "MaxFlow requires a directed session graph (capacities are "
           "per-arc)");
@@ -547,7 +517,7 @@ class Compressor::Impl {
     const ColoringCache::Handle handle =
         cache_->Refine(spec, options.max_colors);
     const Partition& p = *handle.partition;
-    const GraphView& g = view_;
+    const GraphView& g = graph_.view();
 
     FlowQueryResult result;
     result.coloring = handle.partition;
@@ -586,14 +556,10 @@ class Compressor::Impl {
   }
 
   // Queries hold this shared for their whole duration; ApplyEdits holds
-  // it unique while it swaps graph_/view_, repairs the cache, and bumps
-  // graph_version_ (all guarded by it). At most one of graph_/mapped_ is
-  // the serving substrate: view_ aliases whichever is live, and ApplyEdits
-  // retires the mapping after its copy-on-write materialization.
+  // it unique while it swaps graph_, repairs the cache, and bumps
+  // graph_version_ (both guarded by it).
   mutable std::shared_mutex session_mutex_;
-  std::shared_ptr<const Graph> graph_;
-  std::shared_ptr<const MappedGraph> mapped_;
-  GraphView view_;
+  GraphStore graph_;
   int64_t graph_version_ = 0;
   ThreadPool* pool_;
   std::unique_ptr<ColoringCache> cache_;
@@ -605,8 +571,7 @@ class Compressor::Impl {
   CompressorStats stats_;
 };
 
-Compressor::Compressor()
-    : impl_(new Impl(std::shared_ptr<const Graph>(), nullptr, {})) {}
+Compressor::Compressor() : impl_(new Impl(GraphStore(), nullptr, {})) {}
 
 Compressor::Compressor(Graph graph, ThreadPool* pool,
                        const CompressorOptions& options)
@@ -620,12 +585,11 @@ Compressor::Compressor(std::shared_ptr<const Graph> graph, ThreadPool* pool,
 StatusOr<Compressor> Compressor::FromFile(const std::string& path,
                                           ThreadPool* pool,
                                           const CompressorOptions& options) {
-  StatusOr<MappedGraph> mapped = MapBinary(path);
+  StatusOr<GraphStore> mapped = GraphStore::Map(path);
   if (!mapped.ok()) return mapped.status();
   Compressor session;
-  session.impl_ = std::make_unique<Impl>(
-      std::make_shared<const MappedGraph>(std::move(mapped).value()), pool,
-      options);
+  session.impl_ =
+      std::make_unique<Impl>(std::move(mapped).value(), pool, options);
   return session;
 }
 

@@ -231,7 +231,7 @@ class Compressor {
   // ReadBinary(path) (the serving/mmap-* bench scenarios gate this).
   // graph() and ApplyEdits materialize an owning copy on first use
   // (copy-on-write); until then the file mapping must stay valid, which
-  // the session guarantees by owning the MappedGraph. Fails with the
+  // the session guarantees by holding the mapping. Fails with the
   // MapBinary status on a missing or malformed file.
   static StatusOr<Compressor> FromFile(const std::string& path,
                                        ThreadPool* pool = nullptr,
@@ -250,7 +250,8 @@ class Compressor {
 
   // The session graph as an owning Graph. On a FromFile session this
   // materializes an owning copy on first call (thread-safe, once); queries
-  // keep running over the original view, so results are unaffected.
+  // keep running over the original view, so results are unaffected. The
+  // reference stays valid until the next successful ApplyEdits.
   const Graph& graph() const;
 
   // The quasi-stable coloring itself: compress the session graph under the

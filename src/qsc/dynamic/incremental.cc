@@ -7,35 +7,17 @@
 
 namespace qsc {
 namespace dynamic {
-namespace {
-
-GraphView ViewOfNonNull(const std::shared_ptr<const Graph>& graph) {
-  QSC_CHECK(graph != nullptr);
-  return GraphView(*graph);
-}
-
-}  // namespace
-
-IncrementalRecolorer::IncrementalRecolorer(std::shared_ptr<const Graph> graph,
+IncrementalRecolorer::IncrementalRecolorer(GraphStore graph,
                                            std::string backend,
                                            Partition initial,
                                            const ColoringParams& params)
-    : IncrementalRecolorer(ViewOfNonNull(graph),
-                           std::shared_ptr<const void>(graph),
-                           std::move(backend), std::move(initial), params) {}
-
-IncrementalRecolorer::IncrementalRecolorer(GraphView view,
-                                           std::shared_ptr<const void> keepalive,
-                                           std::string backend,
-                                           Partition initial,
-                                           const ColoringParams& params)
-    : view_(std::move(view)),
-      keepalive_(std::move(keepalive)),
+    : graph_(std::move(graph)),
       backend_(std::move(backend)),
       initial_(std::move(initial)),
       params_(params) {
-  impl_ = ColoringBackendRegistry::Global().Create(backend_, view_, initial_,
-                                                   params_);
+  QSC_CHECK(!graph_.empty());
+  impl_ = ColoringBackendRegistry::Global().Create(backend_, graph_.view(),
+                                                   initial_, params_);
 }
 
 bool IncrementalRecolorer::Step(ColorId color_cap) {
@@ -56,9 +38,9 @@ int64_t IncrementalRecolorer::MemoryBytes() const {
 }
 
 RepairOutcome IncrementalRecolorer::ApplyGraph(
-    std::shared_ptr<const Graph> graph, const std::vector<EditOp>& edits,
+    GraphStore graph, const std::vector<EditOp>& edits,
     const RepairOptions& options) {
-  QSC_CHECK(graph != nullptr);
+  QSC_CHECK(!graph.empty());
   RepairOutcome out;
 
   // The witness rows the batch invalidated: distinct pre-edit colors with
@@ -76,15 +58,14 @@ RepairOutcome IncrementalRecolorer::ApplyGraph(
     out.dirty_colors = static_cast<int64_t>(dirty.size());
   }
 
-  view_ = GraphView(*graph);
-  keepalive_ = std::move(graph);
+  graph_ = std::move(graph);
   const double tolerance = params_.q_tolerance;
   if (tolerance > 0.0) {
     // Repair path: continue from the pre-edit partition on the mutated
     // graph and re-split until the spec's tolerance certificate is
     // restored or the budget says the batch was too disruptive.
     auto repaired = ColoringBackendRegistry::Global().Create(
-        backend_, view_, impl_->partition(), params_);
+        backend_, graph_.view(), impl_->partition(), params_);
     bool kernel_converged = false;
     while (repaired->CurrentMaxError() > tolerance) {
       if (out.splits >= options.max_repair_splits) break;
@@ -115,8 +96,8 @@ RepairOutcome IncrementalRecolorer::ApplyGraph(
   // Fallback (and the only path for q_tolerance == 0 specs): reset to the
   // spec's initial partition on the mutated graph. Refinement from here
   // is bit-identical to a from-scratch run.
-  impl_ = ColoringBackendRegistry::Global().Create(backend_, view_, initial_,
-                                                   params_);
+  impl_ = ColoringBackendRegistry::Global().Create(backend_, graph_.view(),
+                                                   initial_, params_);
   out.repaired = false;
   out.converged = false;
   out.max_error = impl_->CurrentMaxError();

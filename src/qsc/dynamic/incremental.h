@@ -45,8 +45,7 @@
 #include "qsc/coloring/params.h"
 #include "qsc/coloring/partition.h"
 #include "qsc/dynamic/edit_stream.h"
-#include "qsc/graph/graph.h"
-#include "qsc/graph/graph_view.h"
+#include "qsc/graph/graph_store.h"
 
 namespace qsc {
 namespace dynamic {
@@ -82,17 +81,10 @@ class IncrementalRecolorer final : public ColoringBackend {
   // `backend` must be a canonical registered name (the Compressor
   // boundary validates); `initial` is the spec's initial partition (the
   // pin structure), which fallbacks reset to. The wrapped kernel is built
-  // eagerly over `graph`.
-  IncrementalRecolorer(std::shared_ptr<const Graph> graph, std::string backend,
+  // eagerly over `graph.view()`; `graph` must not be empty. Holding the
+  // store keeps the viewed arrays alive, owned or mapped.
+  IncrementalRecolorer(GraphStore graph, std::string backend,
                        Partition initial, const ColoringParams& params);
-
-  // View-backed variant (the mmap serving path): the kernel runs over
-  // `view`, and `keepalive` (may be null) pins whatever owns the viewed
-  // arrays — a MappedGraph, an owning Graph, or nothing when the caller
-  // guarantees the lifetime.
-  IncrementalRecolorer(GraphView view, std::shared_ptr<const void> keepalive,
-                       std::string backend, Partition initial,
-                       const ColoringParams& params);
 
   // ColoringBackend: pure delegation to the wrapped kernel.
   bool Step(ColorId color_cap = 0) override;
@@ -104,17 +96,11 @@ class IncrementalRecolorer final : public ColoringBackend {
   // produced it, used only to identify the dirty colors) and repairs or
   // falls back per the contract above. Not safe concurrently with Step;
   // the ColoringCache serializes per entry.
-  RepairOutcome ApplyGraph(std::shared_ptr<const Graph> graph,
-                           const std::vector<EditOp>& edits,
+  RepairOutcome ApplyGraph(GraphStore graph, const std::vector<EditOp>& edits,
                            const RepairOptions& options);
 
-  // The graph the wrapped kernel currently runs over.
-  const GraphView& graph_view() const { return view_; }
-  const std::string& backend_name() const { return backend_; }
-
  private:
-  GraphView view_;
-  std::shared_ptr<const void> keepalive_;
+  GraphStore graph_;
   std::string backend_;
   Partition initial_;
   ColoringParams params_;

@@ -16,8 +16,9 @@
 // Lifetime contract: a GraphView never extends the life of an owning Graph
 // or a MappedGraph. The view (and every NeighborRange it hands out) is
 // valid only while the viewed object is alive and unmutated; holders that
-// need ownership keep a shared_ptr keepalive alongside the view (see
-// ColoringCache / IncrementalRecolorer).
+// need ownership keep a GraphStore (graph/graph_store.h), which owns what
+// its view() aliases — as Compressor, ColoringCache and
+// IncrementalRecolorer do.
 
 #ifndef QSC_GRAPH_GRAPH_VIEW_H_
 #define QSC_GRAPH_GRAPH_VIEW_H_

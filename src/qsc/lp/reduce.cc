@@ -177,9 +177,10 @@ class LpColoringRefiner::Impl {
 };
 
 LpColoringRefiner::LpColoringRefiner(const LpProblem& lp,
-                                     const LpReduceOptions& options)
-    : impl_(new Impl(lp, options)) {
+                                     const LpReduceOptions& options) {
+  // Before Impl: building the matrix graph indexes b, c and the entries.
   QSC_CHECK_OK(ValidateLp(lp));
+  impl_ = std::make_unique<Impl>(lp, options);
 }
 
 LpColoringRefiner::~LpColoringRefiner() = default;

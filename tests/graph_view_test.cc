@@ -3,20 +3,26 @@
 // mapped view against MappedGraph::Materialize() (the invariant the
 // serving/mmap-* bench scenarios gate), and the lifetime contract — a
 // view outliving its Materialize() call, and the rejection table for
-// views over moved-from MappedGraphs. The ASan leg runs this binary, so
-// every read through a view here is a use-after-free probe.
+// views over moved-from MappedGraphs. Also covers GraphStore
+// (qsc/graph/graph_store.h), the handle that owns what a view aliases:
+// owning and mapped stores serve identical views, copies share one
+// materialization, and a store outlives its file's directory entry. The
+// ASan leg runs this binary, so every read through a view here is a
+// use-after-free probe.
 
 #include "qsc/graph/graph_view.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "qsc/graph/generators.h"
 #include "qsc/graph/graph.h"
+#include "qsc/graph/graph_store.h"
 #include "qsc/graph/io.h"
 #include "qsc/util/random.h"
 
@@ -165,6 +171,72 @@ TEST(GraphViewTest, ViewCopiesShareDerivedArrays) {
   ExpectSameArcs(copy.Arcs(), arcs);
   EXPECT_EQ(copy.InDegree(0), mapped->Materialize().InDegree(0));
   std::remove(path.c_str());
+}
+
+TEST(GraphStoreTest, OwningAndMappedStoresServeIdenticalViews) {
+  for (const bool undirected : {false, true}) {
+    const Graph g = undirected ? UndirectedBa(200, 43) : DirectedBa(200, 43);
+    const std::string path = TempPath("store_identity.qscbin");
+    ASSERT_TRUE(WriteBinary(g, path).ok());
+    const GraphStore owned(std::make_shared<const Graph>(g));
+    const StatusOr<GraphStore> mapped = GraphStore::Map(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().message();
+    EXPECT_FALSE(owned.empty());
+    EXPECT_FALSE(mapped->empty());
+    ExpectSameSurface(g, owned.view());
+    ExpectSameSurface(g, mapped->view());
+    ExpectSameArcs(mapped->view().Arcs(), owned.view().Arcs());
+    std::remove(path.c_str());
+  }
+}
+
+TEST(GraphStoreTest, CopiesShareOneMaterialization) {
+  const Graph g = DirectedBa(120, 47);
+  const std::string path = TempPath("store_copies.qscbin");
+  ASSERT_TRUE(WriteBinary(g, path).ok());
+  StatusOr<GraphStore> mapped = GraphStore::Map(path);
+  ASSERT_TRUE(mapped.ok());
+  const GraphStore copy = *mapped;
+  const Graph& first = copy.graph();
+  EXPECT_EQ(&mapped->graph(), &first);
+  EXPECT_TRUE(first == g);
+  // Copies share the view's derived arrays (the directed in-CSR) too.
+  EXPECT_EQ(copy.view().InNeighbors(0).nodes(),
+            mapped->view().InNeighbors(0).nodes());
+
+  // An owning store hands back the graph it was given.
+  const auto shared = std::make_shared<const Graph>(g);
+  const GraphStore owned = shared;
+  EXPECT_EQ(&owned.graph(), shared.get());
+  std::remove(path.c_str());
+}
+
+TEST(GraphStoreTest, KeepsServingAfterItsFileIsUnlinked) {
+  const Graph g = UndirectedBa(150, 53);
+  const std::string path = TempPath("store_unlinked.qscbin");
+  ASSERT_TRUE(WriteBinary(g, path).ok());
+  StatusOr<GraphStore> mapped = GraphStore::Map(path);
+  ASSERT_TRUE(mapped.ok());
+  std::remove(path.c_str());
+  // The last copy of the store alone keeps the mapping alive.
+  const GraphStore survivor = *mapped;
+  *mapped = GraphStore();
+  ExpectSameSurface(g, survivor.view());
+  EXPECT_TRUE(survivor.graph() == g);
+}
+
+TEST(GraphStoreTest, EmptyStores) {
+  const GraphStore none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.view().num_nodes(), 0);
+  EXPECT_TRUE(GraphStore(std::shared_ptr<const Graph>()).empty());
+  EXPECT_EQ(GraphStore::Map(TempPath("store_absent.qscbin")).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(GraphStoreDeathTest, GraphOfAnEmptyStoreAborts) {
+  const GraphStore none;
+  EXPECT_DEATH(none.graph(), "QSC_CHECK");
 }
 
 // The rejection table for moved-from MappedGraphs: every way of reaching

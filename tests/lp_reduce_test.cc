@@ -204,5 +204,22 @@ TEST(ReduceLpTest, MaxQReportedMatchesTolerance) {
   EXPECT_LE(reduced.max_q, 3.0);
 }
 
+// The constructor validates before it builds the matrix graph, so a
+// malformed LP trips the ValidateLp contract check instead of indexing
+// out of range (a short b) or aborting deep inside Graph construction (a
+// negative entry row).
+TEST(LpColoringRefinerDeathTest, ValidatesBeforeBuildingTheMatrixGraph) {
+  const LpReduceOptions options;
+  LpProblem negative_row = Figure3Lp();
+  negative_row.entries.front().row = -1;
+  EXPECT_DEATH({ LpColoringRefiner refiner(negative_row, options); },
+               "ValidateLp");
+
+  LpProblem short_b = Figure3Lp();
+  short_b.b.pop_back();
+  EXPECT_DEATH({ LpColoringRefiner refiner(short_b, options); },
+               "ValidateLp");
+}
+
 }  // namespace
 }  // namespace qsc
