@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "qsc/api/hashing.h"
+#include "qsc/lp/reduce.h"
 #include "qsc/parallel/thread_pool.h"
 #include "qsc/util/timer.h"
 
@@ -34,6 +35,46 @@ std::unique_ptr<dynamic::IncrementalRecolorer> MakeBackend(
       ToColoringParams(spec, pool));
 }
 
+// Heap an LP entry owns besides its refiner and snapshots: the matrix
+// graph (out- and in-CSR plus two weighted-degree arrays) and the map
+// key's copy of the LP.
+int64_t LpEntryBytes(const LpProblem& lp, const GraphView& matrix) {
+  const size_t nodes = matrix.num_nodes() + 1;
+  const size_t arcs = matrix.num_arcs();
+  return static_cast<int64_t>(
+      2 * (nodes * (sizeof(int64_t) + sizeof(double)) +
+           arcs * (sizeof(NodeId) + sizeof(double))) +
+      lp.entries.size() * sizeof(LpEntry) +
+      (lp.b.size() + lp.c.size()) * sizeof(double));
+}
+
+// Content equality of two specs' LPs (both null for graph specs). The
+// fingerprints reject most unequal pairs before the full comparison.
+bool SameLp(const ColoringSpec& a, const ColoringSpec& b) {
+  if (a.lp == b.lp) return true;
+  if (a.lp == nullptr || b.lp == nullptr) return false;
+  if (a.lp_fingerprint != b.lp_fingerprint) return false;
+  const LpProblem& x = *a.lp;
+  const LpProblem& y = *b.lp;
+  if (x.num_rows != y.num_rows || x.num_cols != y.num_cols ||
+      x.entries.size() != y.entries.size() || x.b != y.b || x.c != y.c) {
+    return false;
+  }
+  for (size_t i = 0; i < x.entries.size(); ++i) {
+    if (x.entries[i].row != y.entries[i].row ||
+        x.entries[i].col != y.entries[i].col ||
+        x.entries[i].value != y.entries[i].value) {
+      return false;
+    }
+  }
+  return true;
+}
+
+uint64_t PackPair(int32_t hi, int32_t lo) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(hi)) << 32) |
+         static_cast<uint32_t>(lo);
+}
+
 }  // namespace
 
 bool operator==(const ColoringSpec& a, const ColoringSpec& b) {
@@ -41,7 +82,7 @@ bool operator==(const ColoringSpec& a, const ColoringSpec& b) {
          a.q_tolerance == b.q_tolerance && a.split_mean == b.split_mean &&
          api_internal::BackendOrDefault(a.backend) ==
              api_internal::BackendOrDefault(b.backend) &&
-         a.pinned == b.pinned;
+         a.pinned == b.pinned && SameLp(a, b);
 }
 
 size_t ColoringSpecHash::operator()(const ColoringSpec& spec) const {
@@ -58,10 +99,26 @@ size_t ColoringSpecHash::operator()(const ColoringSpec& spec) const {
   for (const NodeId pin : spec.pinned) {
     h = HashMixWord(h, static_cast<uint64_t>(pin));
   }
+  if (spec.lp != nullptr) h = HashMixWord(h, spec.lp_fingerprint);
   return static_cast<size_t>(h);
 }
 
+uint64_t FingerprintLp(const LpProblem& lp) {
+  using api_internal::DoubleBits;
+  using api_internal::HashMixWideWord;
+  uint64_t h = api_internal::kFnvOffsetBasis;
+  h = HashMixWideWord(h, PackPair(lp.num_rows, lp.num_cols));
+  for (const LpEntry& e : lp.entries) {
+    h = HashMixWideWord(h, PackPair(e.row, e.col));
+    h = HashMixWideWord(h, DoubleBits(e.value));
+  }
+  for (const double v : lp.b) h = HashMixWideWord(h, DoubleBits(v));
+  for (const double v : lp.c) h = HashMixWideWord(h, DoubleBits(v));
+  return h;
+}
+
 Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes) {
+  if (spec.lp != nullptr) return MatrixGraphSeed(*spec.lp);
   std::vector<int32_t> labels(num_nodes,
                               static_cast<int32_t>(spec.pinned.size()));
   for (size_t i = 0; i < spec.pinned.size(); ++i) {
@@ -84,6 +141,11 @@ struct ColoringCache::Entry {
   // specs behind a graph scan. The wrapper holds the spec's backend and
   // gives ApplyGraph its repair verb.
   std::unique_ptr<dynamic::IncrementalRecolorer> refiner;
+  // An LP entry's matrix graph, built with its refiner; empty for a graph
+  // spec, whose refiner runs over the cache's graph.
+  GraphStore matrix_graph;
+  // LpEntryBytes of an LP entry; 0 for a graph spec.
+  int64_t lp_bytes = 0;
 
   // Colors of the spec's initial partition (pins + 1); no budget can go
   // below this, exactly as in RothkoRefiner::Run().
@@ -109,11 +171,12 @@ struct ColoringCache::Entry {
   // map's unique lock.
   int64_t bytes = 0;
 
-  // Footprint of this entry: the live refiner plus every distinct served
-  // snapshot (down-budget memoizations often alias the head or each
-  // other; each partition is counted once). Caller holds `mutex`.
+  // Footprint of this entry: the live refiner, an LP entry's own data,
+  // and every distinct served snapshot (down-budget memoizations often
+  // alias the head or each other; each partition is counted once). Caller
+  // holds `mutex`.
   int64_t MemoryBytes() const {
-    int64_t total = static_cast<int64_t>(sizeof(Entry));
+    int64_t total = static_cast<int64_t>(sizeof(Entry)) + lp_bytes;
     if (refiner != nullptr) total += refiner->MemoryBytes();
     std::vector<const Partition*> counted;
     const auto count = [&](const std::shared_ptr<const Partition>& p) {
@@ -137,7 +200,6 @@ struct ColoringCache::Entry {
 ColoringCache::ColoringCache(GraphStore graph, ThreadPool* pool,
                              const ColoringCacheOptions& options)
     : graph_(std::move(graph)), pool_(pool), options_(options) {
-  QSC_CHECK(!graph_.empty());
   QSC_CHECK_GE(options_.byte_budget, 0);
 }
 
@@ -171,6 +233,17 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   // a lookup and its backend row can never disagree.
   const std::string& backend_name =
       api_internal::BackendOrDefault(spec.backend);
+  // Applies `count` to every stats row this lookup is attributed to: the
+  // lp row for an LP spec, the totals and the backend's row otherwise.
+  const auto attribute = [&](auto count) {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    if (spec.lp != nullptr) {
+      count(stats_.lp);
+    } else {
+      count(stats_);
+      count(stats_.per_backend[backend_name]);
+    }
+  };
 
   // Find-or-insert the spec's entry: optimistic shared lock first, then
   // the unique lock only on the insert path (double-checked via
@@ -195,9 +268,13 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
     }
   }
   if (entry == nullptr) {
+    // The map keeps its own copy of an LP spec's problem (the caller may
+    // have lent it), made before the unique lock is taken.
+    ColoringSpec key = spec;
+    if (key.lp != nullptr) key.lp = std::make_shared<const LpProblem>(*key.lp);
     std::unique_lock<std::shared_mutex> lock(mutex_);
     graph = graph_;
-    const auto [it, inserted] = entries_.try_emplace(spec, nullptr);
+    const auto [it, inserted] = entries_.try_emplace(std::move(key), nullptr);
     if (inserted) it->second = std::make_shared<Entry>();
     found = !inserted;
     entry = it->second;
@@ -206,19 +283,24 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   entry->last_used.store(
       1 + use_clock_.fetch_add(1, std::memory_order_relaxed),
       std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.lookups;
-    ++stats_.per_backend[backend_name].lookups;
-    if (!found) {
-      ++stats_.misses;
-      ++stats_.per_backend[backend_name].misses;
-    }
-  }
+  attribute([&](auto& row) {
+    ++row.lookups;
+    if (!found) ++row.misses;
+  });
 
   int64_t entry_bytes = 0;
   {
     std::lock_guard<std::mutex> entry_lock(entry->mutex);
+    if (spec.lp != nullptr) {
+      // An LP spec colors its entry's own matrix graph, built on first use
+      // under the entry mutex so that distinct LPs build concurrently.
+      if (entry->matrix_graph.empty()) {
+        entry->matrix_graph = GraphStore(
+            std::make_shared<const Graph>(BuildMatrixGraph(*spec.lp)));
+        entry->lp_bytes = LpEntryBytes(*spec.lp, entry->matrix_graph.view());
+      }
+      graph = entry->matrix_graph;
+    }
     if (entry->refiner == nullptr) {
       entry->refiner = MakeBackend(graph, spec, pool_);
       entry->initial_colors = entry->refiner->partition().num_colors();
@@ -236,11 +318,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
       // entry first) is already attributed.
       const auto served = entry->served.find(budget);
       if (served != entry->served.end()) {
-        if (found) {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.hits;
-          ++stats_.per_backend[backend_name].hits;
-        }
+        if (found) attribute([](auto& row) { ++row.hits; });
         handle.cache_hit = true;
         handle.partition = served->second.first;
         handle.max_error = served->second.second;
@@ -252,16 +330,10 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
                fresh->Step(budget)) {
         }
         handle.splits = fresh->partition().num_colors() - initial;
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          stats_.refine_splits += handle.splits;
-          CacheStats::BackendStats& row = stats_.per_backend[backend_name];
+        attribute([&](auto& row) {
           row.refine_splits += handle.splits;
-          if (found) {
-            ++stats_.recolorings;
-            ++row.recolorings;
-          }
-        }
+          if (found) ++row.recolorings;
+        });
         handle.partition =
             std::make_shared<const Partition>(fresh->partition());
         handle.max_error = fresh->CurrentMaxError();
@@ -280,16 +352,10 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
         }
       }
       handle.splits = entry->refiner->partition().num_colors() - before;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.refine_splits += handle.splits;
-        CacheStats::BackendStats& row = stats_.per_backend[backend_name];
+      attribute([&](auto& row) {
         row.refine_splits += handle.splits;
-        if (found) {
-          ++stats_.hits;
-          ++row.hits;
-        }
-      }
+        if (found) ++row.hits;
+      });
       if (handle.splits > 0 || entry->head == nullptr) {
         entry->head =
             std::make_shared<const Partition>(entry->refiner->partition());
@@ -322,6 +388,7 @@ ColoringCache::EditApplyStats ColoringCache::ApplyGraph(
     std::unique_lock<std::shared_mutex> lock(mutex_);
     graph_ = std::move(new_graph);
     for (auto& [spec, entry] : entries_) {
+      if (spec.lp != nullptr) continue;  // colors its own matrix graph
       std::lock_guard<std::mutex> entry_lock(entry->mutex);
       if (entry->refiner == nullptr) {
         // Never refined: nothing to repair. The next Refine() builds it

@@ -29,7 +29,13 @@
 // hits + misses + recolorings == lookups.
 //
 // The graph is one GraphStore (graph/graph_store.h), owned or mapped;
-// every refiner runs over its view and holds a copy of the store.
+// every graph-spec refiner runs over its view and holds a copy of the
+// store.
+//
+// An LP spec (ColoringSpec::lp; paper Sec 4.1) colors its LP's matrix
+// graph instead, which its entry builds and owns. LP entries share
+// everything above with graph entries but their stats row; edits leave
+// them alone.
 //
 // Byte budget (ColoringCacheOptions): a long-lived server cannot let the
 // entry map grow without bound, so the cache tracks the footprint of every
@@ -62,6 +68,7 @@
 #include "qsc/dynamic/edit_stream.h"
 #include "qsc/dynamic/incremental.h"
 #include "qsc/graph/graph_store.h"
+#include "qsc/lp/model.h"
 
 namespace qsc {
 
@@ -95,6 +102,15 @@ struct ColoringSpec {
   // The max-flow terminal pinning of Theorem 6 is pinned = {s, t}.
   std::vector<NodeId> pinned;
 
+  // Null: color the cache's graph, seeded by `pinned`. Otherwise color
+  // this LP's matrix graph (lp/reduce.h), seeded by MatrixGraphSeed, with
+  // `pinned` empty. Compared by content; may be a non-owning (aliasing)
+  // pointer, since the cache copies the LP when it inserts the spec.
+  std::shared_ptr<const LpProblem> lp;
+  // FingerprintLp(*lp), the only part of the LP the hash mixes; ignored
+  // while `lp` is null, so graph specs keep their hashes.
+  uint64_t lp_fingerprint = 0;
+
   // Equality folds "" onto the default backend; defined in
   // coloring_cache.cc next to ColoringSpecHash so the two stay in sync.
   friend bool operator==(const ColoringSpec& a, const ColoringSpec& b);
@@ -107,23 +123,32 @@ struct ColoringSpecHash {
   size_t operator()(const ColoringSpec& spec) const;
 };
 
-// The initial partition a spec induces: each pinned node in its own
+// Content hash of an LP, one mixing step per 64-bit word; equal problems
+// (-0.0 == 0.0) hash equally. Not collision-resistant: hits are confirmed
+// by content.
+uint64_t FingerprintLp(const LpProblem& lp);
+
+// The initial partition a graph spec induces: each pinned node in its own
 // singleton color, the rest in one shared color (color ids assigned in
 // first-appearance node order — see ColoringSpec::pinned). Matches
 // Partition::Trivial for an empty pin set and ApproximateMaxFlow's
-// historical terminal pinning for {s, t}.
+// historical terminal pinning for {s, t}. An LP spec induces
+// MatrixGraphSeed(*spec.lp) and ignores `num_nodes`.
 Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes);
 
 // Session-lifetime amortization counters.
 //
+// Graph-spec lookups feed the totals and per_backend, LP-spec lookups only
+// the `lp` row; evictions, bytes_in_use and peak_bytes cover both.
+//
 // Reconciliation invariant: every lookup is attributed to exactly one of
 // {hit, miss, recoloring}, so hits + misses + recolorings == lookups — in
-// the totals AND within every per_backend row. Which bucket a racing
-// down-budget pair lands in is arrival-order-dependent (documented in the
-// file comment), but the invariant holds under any interleaving: a miss
-// is attributed once, when the lookup is counted, even if a racing
-// request refined its entry first (tests/api_compressor_test.cc and the
-// concurrency suite assert it).
+// the totals AND within every per_backend row and the lp row. Which
+// bucket a racing down-budget pair lands in is arrival-order-dependent
+// (documented in the file comment), but the invariant holds under any
+// interleaving: a miss is attributed once, when the lookup is counted,
+// even if a racing request refined its entry first
+// (tests/api_compressor_test.cc and the concurrency suite assert it).
 struct CacheStats {
   // One backend's share of the traffic, keyed by canonical backend name
   // in per_backend (a "" spec is accounted under kDefaultColoringBackend).
@@ -159,13 +184,17 @@ struct CacheStats {
   // Per-backend breakdown of the five attribution counters above; the
   // column sums over all rows equal the totals.
   std::map<std::string, BackendStats> per_backend;
+
+  // LP-spec lookups, all backends together (repairs/fallbacks stay 0).
+  BackendStats lp;
 };
 
 // Session-construction knobs for the cache.
 struct ColoringCacheOptions {
   // Maximum total entry footprint in bytes; 0 = unlimited (never evict).
   // An entry's footprint is its live refiner (RothkoRefiner::MemoryBytes)
-  // plus every distinct partition snapshot it serves. When a request
+  // plus every distinct partition snapshot it serves; an LP entry also
+  // counts its matrix graph and its copy of the LP. When a request
   // leaves the total above the budget, least-recently-used idle entries
   // are evicted — possibly including the entry the request itself used —
   // until the total is back within the budget, so with no concurrent
@@ -175,9 +204,9 @@ struct ColoringCacheOptions {
   int64_t byte_budget = 0;
 };
 
-// Spec-keyed store of live anytime refiners over one graph. Safe for
-// concurrent Refine() calls (see the file comment for the locking
-// granularity and the determinism guarantee).
+// Spec-keyed store of live anytime refiners over one graph (and LP matrix
+// graphs). Safe for concurrent Refine() calls (see the file comment for
+// the locking granularity and the determinism guarantee).
 class ColoringCache {
  public:
   // One served coloring. `partition` is a shared immutable snapshot —
@@ -190,8 +219,8 @@ class ColoringCache {
     double seconds = 0.0;    // wall-clock cost of this request
   };
 
-  // Refiners run over `graph.view()` (owned or mapped; must not be
-  // empty). `pool` (not owned, may be null) speeds up split scoring
+  // Graph specs run over `graph.view()` (owned or mapped; empty serves LP
+  // specs only). `pool` (not owned, may be null) speeds up split scoring
   // without changing any partition (RothkoOptions::pool). `options`
   // configures the byte budget.
   explicit ColoringCache(GraphStore graph, ThreadPool* pool = nullptr,
@@ -204,11 +233,12 @@ class ColoringCache {
   // Serves the spec's coloring refined to `budget` colors (or to
   // convergence, whichever comes first; budgets below the spec's initial
   // color count serve the initial partition, like RothkoRefiner::Run()).
-  // Contract violations (unvalidated pins, non-positive budget, an
+  // Contract violations (unvalidated pins or LP, non-positive budget, an
   // unregistered or non-canonical spec.backend) abort; qsc::Compressor
   // validates at the API boundary. The result is bit-identical to a fresh
   // run of the spec's backend from InitialPartition(spec, n) stepped to
-  // `budget` colors — for the default backend, to
+  // `budget` colors — over BuildMatrixGraph(*spec.lp) for an LP spec, and
+  // for a graph spec of the default backend equal to
   //   RothkoColoring(graph, InitialPartition(spec, n),
   //                  {budget, spec.q_tolerance, spec.alpha, spec.beta,
   //                   spec.split_mean})
@@ -226,12 +256,13 @@ class ColoringCache {
   };
 
   // Dynamic serving (docs/DYNAMIC.md): swaps in the already-mutated graph
-  // (`edits` is the batch that produced it) and repairs every live entry
-  // in place via IncrementalRecolorer::ApplyGraph — tolerance-bounded
+  // (`edits` is the batch that produced it) and repairs every live graph
+  // entry in place via IncrementalRecolorer::ApplyGraph — tolerance-bounded
   // specs are re-split locally under `options.max_repair_splits`,
   // everything else resets for a from-scratch recoloring that later
   // Refine() calls perform lazily and bit-identically to a fresh cache
   // over the new graph. Served snapshots of the old graph are dropped.
+  // LP entries color their own matrix graphs and are left as they are.
   //
   // Takes the cache-wide unique lock for the whole call, so it serializes
   // against every Refine(); qsc::Compressor additionally guarantees no

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "qsc/api/hashing.h"
 #include "qsc/centrality/color_pivot.h"
 #include "qsc/coloring/reduced_graph.h"
 #include "qsc/flow/push_relabel.h"
@@ -103,41 +99,6 @@ ColoringSpec SpecFor(const QueryOptions& options, double default_alpha,
   return spec;
 }
 
-// Content fingerprint of an LP: SolveLp keys its matrix-coloring cache by
-// value, so two calls with equal problems share one refiner even if they
-// pass different objects. Not collision-resistant — hits are confirmed by
-// LpEquals before a cached refiner is reused.
-uint64_t FingerprintLp(const LpProblem& lp) {
-  using api_internal::HashMixDouble;
-  using api_internal::HashMixWord;
-  uint64_t h = api_internal::kFnvOffsetBasis;
-  h = HashMixWord(h, static_cast<uint64_t>(lp.num_rows));
-  h = HashMixWord(h, static_cast<uint64_t>(lp.num_cols));
-  for (const LpEntry& e : lp.entries) {
-    h = HashMixWord(h, static_cast<uint64_t>(e.row));
-    h = HashMixWord(h, static_cast<uint64_t>(e.col));
-    h = HashMixDouble(h, e.value);
-  }
-  for (const double v : lp.b) h = HashMixDouble(h, v);
-  for (const double v : lp.c) h = HashMixDouble(h, v);
-  return h;
-}
-
-bool LpEquals(const LpProblem& a, const LpProblem& b) {
-  if (a.num_rows != b.num_rows || a.num_cols != b.num_cols ||
-      a.entries.size() != b.entries.size() || a.b != b.b || a.c != b.c) {
-    return false;
-  }
-  for (size_t i = 0; i < a.entries.size(); ++i) {
-    if (a.entries[i].row != b.entries[i].row ||
-        a.entries[i].col != b.entries[i].col ||
-        a.entries[i].value != b.entries[i].value) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 class Compressor::Impl {
@@ -146,13 +107,10 @@ class Compressor::Impl {
   // view of the mapped payload until graph() or ApplyEdits materializes
   // it), or empty (an LP-only session).
   Impl(GraphStore graph, ThreadPool* pool, const CompressorOptions& options)
-      : graph_(std::move(graph)), pool_(pool) {
-    if (graph_.view().num_nodes() > 0) {
-      ColoringCacheOptions cache_options;
-      cache_options.byte_budget = options.coloring_cache_byte_budget;
-      cache_ = std::make_unique<ColoringCache>(graph_, pool_, cache_options);
-    }
-  }
+      : graph_(std::move(graph)),
+        pool_(pool),
+        cache_(graph_, pool_,
+               ColoringCacheOptions{options.coloring_cache_byte_budget}) {}
 
   bool has_graph() const { return !graph_.empty(); }
 
@@ -189,7 +147,7 @@ class Compressor::Impl {
         SpecFor(options, /*default_alpha=*/0.0, /*default_beta=*/0.0,
                 options.pinned, *std::move(backend));
     const ColoringCache::Handle handle =
-        cache_->Refine(spec, options.max_colors);
+        cache_.Refine(spec, options.max_colors);
     ColoringResult result;
     result.coloring = handle.partition;
     result.max_q = handle.max_error;
@@ -258,86 +216,29 @@ class Compressor::Impl {
     StatusOr<std::string> backend = ValidateBackend(options.backend);
     if (!backend.ok()) return backend.status();
 
-    LpReduceOptions reduce_options;
-    reduce_options.max_colors = options.max_colors;
-    reduce_options.q_tolerance = options.q_tolerance;
-    reduce_options.alpha = options.alpha.value_or(reduce_options.alpha);
-    reduce_options.beta = options.beta.value_or(reduce_options.beta);
-    reduce_options.split_mean = options.split_mean;
-    reduce_options.variant = options.lp_variant;
-    reduce_options.backend = *std::move(backend);
-    reduce_options.pool = pool_;
-
-    WallTimer timer;
-    const LpSessionKey key{FingerprintLp(lp), reduce_options.alpha,
-                           reduce_options.beta, reduce_options.q_tolerance,
-                           static_cast<int>(reduce_options.split_mean),
-                           static_cast<int>(reduce_options.variant),
-                           reduce_options.backend};
-    // Find-or-insert under the map lock; the expensive matrix coloring
-    // happens later under the per-session mutex, so distinct LPs reduce
-    // concurrently. The fingerprint is not collision-resistant, so a key
-    // maps to a bucket of sessions and a hit requires content equality.
-    LpSession* session = nullptr;
-    bool found = false;
-    {
-      std::lock_guard<std::mutex> lock(lp_mutex_);
-      ++stats_.lp_lookups;
-      std::vector<std::unique_ptr<LpSession>>& bucket = lp_entries_[key];
-      for (const std::unique_ptr<LpSession>& candidate : bucket) {
-        if (LpEquals(candidate->lp, lp)) {
-          session = candidate.get();
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        ++stats_.lp_misses;
-        auto entry = std::make_unique<LpSession>();
-        entry->lp = lp;
-        bucket.push_back(std::move(entry));
-        session = bucket.back().get();
-      }
-    }
+    ColoringSpec spec =
+        SpecFor(options, /*default_alpha=*/1.0, /*default_beta=*/0.0,
+                /*pinned=*/{}, *std::move(backend));
+    // Lent for the lookup: the cache copies the LP only when it inserts.
+    spec.lp = std::shared_ptr<const LpProblem>(
+        std::shared_ptr<const LpProblem>(), &lp);
+    spec.lp_fingerprint = FingerprintLp(lp);
+    const ColoringCache::Handle handle =
+        cache_.Refine(spec, options.max_colors);
 
     LpQueryResult result;
-    {
-      std::lock_guard<std::mutex> session_lock(session->mutex);
-      if (session->refiner == nullptr) {
-        session->refiner =
-            std::make_unique<LpColoringRefiner>(session->lp, reduce_options);
-      }
-      if (session->refiner->num_colors() > options.max_colors) {
-        // The cached matrix coloring has refined past this budget and
-        // splits are not invertible: recompute this budget from scratch
-        // once and memoize (mirrors ColoringCache's down-budget path,
-        // including its once-only attribution of a racing miss).
-        const auto served = session->down_served.find(options.max_colors);
-        if (served != session->down_served.end()) {
-          if (found) CountLpStat(&CompressorStats::lp_hits);
-          result.telemetry.coloring_cache_hit = true;
-          result.reduced = served->second;
-        } else {
-          if (found) CountLpStat(&CompressorStats::lp_recolorings);
-          LpColoringRefiner fresh(session->lp, reduce_options);
-          result.reduced = fresh.ReduceTo(options.max_colors);
-          session->down_served.emplace(options.max_colors, result.reduced);
-        }
-      } else {
-        if (found) CountLpStat(&CompressorStats::lp_hits);
-        result.telemetry.coloring_cache_hit = found;
-        result.reduced = session->refiner->ReduceTo(options.max_colors);
-      }
-    }
-    result.telemetry.coloring_seconds = timer.ElapsedSeconds();
-
-    timer.Reset();
+    result.telemetry = TelemetryFor(handle);
+    result.telemetry.graph_version = graph_version_;
+    WallTimer timer;
+    result.reduced =
+        ExtractReducedLp(lp, *handle.partition, options.lp_variant);
+    result.reduced.max_q = handle.max_error;
+    result.reduced.coloring_seconds = handle.seconds;
     result.solution = SolveSimplex(result.reduced.lp);
     if (result.solution.status == LpStatus::kOptimal) {
       result.lifted_x = LiftSolution(result.reduced, result.solution.x);
     }
     result.telemetry.solve_seconds = timer.ElapsedSeconds();
-    result.telemetry.graph_version = graph_version_;
     return result;
   }
 
@@ -359,7 +260,7 @@ class Compressor::Impl {
         SpecFor(options, /*default_alpha=*/1.0, /*default_beta=*/1.0,
                 options.pinned, *std::move(backend));
     const ColoringCache::Handle handle =
-        cache_->Refine(spec, options.max_colors);
+        cache_.Refine(spec, options.max_colors);
 
     CentralityQueryResult result;
     result.coloring = handle.partition;
@@ -399,7 +300,7 @@ class Compressor::Impl {
     dynamic::RepairOptions repair;
     repair.max_repair_splits = options.max_repair_splits;
     const ColoringCache::EditApplyStats repaired =
-        cache_->ApplyGraph(next, edits, repair);
+        cache_.ApplyGraph(next, edits, repair);
     graph_ = std::move(next);  // releases the old graph and any mapping
     ++graph_version_;
 
@@ -420,44 +321,15 @@ class Compressor::Impl {
 
   CompressorStats stats() const {
     CompressorStats snapshot;
-    {
-      std::lock_guard<std::mutex> lock(lp_mutex_);
-      snapshot = stats_;
-    }
-    snapshot.coloring = cache_ != nullptr ? cache_->stats() : CacheStats{};
+    snapshot.coloring = cache_.stats();
+    snapshot.lp_lookups = snapshot.coloring.lp.lookups;
+    snapshot.lp_hits = snapshot.coloring.lp.hits;
+    snapshot.lp_misses = snapshot.coloring.lp.misses;
+    snapshot.lp_recolorings = snapshot.coloring.lp.recolorings;
     return snapshot;
   }
 
  private:
-  struct LpSessionKey {
-    uint64_t fingerprint;
-    double alpha, beta, q_tolerance;
-    int split_mean, variant;
-    std::string backend;  // canonical (ValidateBackend ran first)
-
-    bool operator<(const LpSessionKey& o) const {
-      return std::tie(fingerprint, alpha, beta, q_tolerance, split_mean,
-                      variant, backend) <
-             std::tie(o.fingerprint, o.alpha, o.beta, o.q_tolerance,
-                      o.split_mean, o.variant, o.backend);
-    }
-  };
-
-  struct LpSession {
-    // Serializes refinement of this LP; distinct LPs reduce concurrently.
-    std::mutex mutex;
-    LpProblem lp;  // owned copy; the refiner holds a reference into it
-    // Built lazily under `mutex`, so map insertion stays cheap.
-    std::unique_ptr<LpColoringRefiner> refiner;
-    // Down-budget reductions already recomputed, keyed by budget.
-    std::map<ColorId, ReducedLp> down_served;
-  };
-
-  void CountLpStat(int64_t CompressorStats::* counter) {
-    std::lock_guard<std::mutex> lock(lp_mutex_);
-    ++(stats_.*counter);
-  }
-
   static QueryTelemetry TelemetryFor(const ColoringCache::Handle& handle) {
     QueryTelemetry t;
     t.coloring_cache_hit = handle.cache_hit;
@@ -515,7 +387,7 @@ class Compressor::Impl {
                 // Validated by ValidateFlowQuery; .value() cannot abort.
                 CanonicalBackendName(options.backend).value());
     const ColoringCache::Handle handle =
-        cache_->Refine(spec, options.max_colors);
+        cache_.Refine(spec, options.max_colors);
     const Partition& p = *handle.partition;
     const GraphView& g = graph_.view();
 
@@ -562,13 +434,8 @@ class Compressor::Impl {
   GraphStore graph_;
   int64_t graph_version_ = 0;
   ThreadPool* pool_;
-  std::unique_ptr<ColoringCache> cache_;
-
-  // Guards lp_entries_ (map and buckets, not the sessions) and the lp_*
-  // counters of stats_ (the coloring counters live in the cache).
-  mutable std::mutex lp_mutex_;
-  std::map<LpSessionKey, std::vector<std::unique_ptr<LpSession>>> lp_entries_;
-  CompressorStats stats_;
+  // Every coloring the session serves, graph and LP alike.
+  ColoringCache cache_;
 };
 
 Compressor::Compressor() : impl_(new Impl(GraphStore(), nullptr, {})) {}

@@ -14,7 +14,7 @@
 // Thread-safety (docs/API.md "Concurrency contract"): all queries and
 // stats() may be called concurrently from any number of threads. The
 // coloring cache serializes per ColoringSpec (distinct specs refine in
-// parallel), the SolveLp cache serializes per cached LP, and every query
+// parallel; SolveLp's specs are per LP), and every query
 // result is bit-identical to the same query issued against a
 // single-threaded session — concurrency changes wall-clock time and the
 // hit/recoloring *attribution* of racing queries, never a result.
@@ -163,14 +163,16 @@ struct CentralityQueryResult {
   QueryTelemetry telemetry;
 };
 
-// Session-level cache statistics: the graph-coloring cache (including the
-// dynamic repairs/fallbacks/edits_applied telemetry) plus the SolveLp
-// matrix-coloring cache.
+// Session-level cache statistics from the one ColoringCache. Graph
+// queries feed coloring's attribution totals and per_backend rows;
+// SolveLp feeds only the lp_* counters (copied from coloring.lp). The
+// footprint counters coloring.evictions/bytes_in_use/peak_bytes cover
+// graph and LP entries together.
 struct CompressorStats {
   CacheStats coloring;   // ColoringCache counters (hits/misses/splits,
                          // edit_batches/edits_applied/repairs/fallbacks)
   int64_t lp_lookups = 0;
-  int64_t lp_hits = 0;   // SolveLp reused a cached matrix-graph refiner
+  int64_t lp_hits = 0;   // SolveLp reused a cached matrix-graph coloring
   int64_t lp_misses = 0;
   int64_t lp_recolorings = 0;  // down-budget SolveLp recomputes
 };
@@ -199,8 +201,9 @@ class ThreadPool;
 // never results: a budgeted session answers every query bit-identically to
 // an unbudgeted one (evicted colorings recompute deterministically).
 struct CompressorOptions {
-  // Byte budget for the session's coloring cache (live refiners plus
-  // served partition snapshots); 0 = unlimited. See
+  // Byte budget for the session's coloring cache (live refiners, served
+  // partition snapshots, and SolveLp's matrix graphs and LP copies);
+  // 0 = unlimited. See
   // ColoringCacheOptions::byte_budget for the eviction contract.
   int64_t coloring_cache_byte_budget = 0;
 };
@@ -218,7 +221,9 @@ class Compressor {
                       const CompressorOptions& options = {});
 
   // Shares ownership; use the aliasing shared_ptr constructor to borrow a
-  // caller-owned graph that outlives the session.
+  // caller-owned graph that outlives the session. A null `graph` makes an
+  // LP-only session, like the default constructor, with a pool and
+  // options.
   explicit Compressor(std::shared_ptr<const Graph> graph,
                       ThreadPool* pool = nullptr,
                       const CompressorOptions& options = {});
@@ -277,8 +282,10 @@ class Compressor {
 
   // LP reduction (paper Sec 4.1) + reduced simplex solve + lift. Colors
   // the LP's extended-matrix bipartite graph, not the session graph;
-  // repeated SolveLp calls on the same LP (by content) reuse a cached
-  // matrix-graph refiner across budgets. Requires max_colors >= 4.
+  // repeated SolveLp calls on the same LP (by content) reuse one cached
+  // matrix-graph coloring across budgets and reduction variants, held in
+  // the session's ColoringCache under its byte budget. Requires
+  // max_colors >= 4.
   // Defaults: alpha = 1, beta = 0.
   StatusOr<LpQueryResult> SolveLp(const LpProblem& lp,
                                   const QueryOptions& options = {});
@@ -301,8 +308,9 @@ class Compressor {
   // Safe to call concurrently with queries (it takes the session writer
   // lock); concurrent ApplyEdits calls serialize. Rejects an empty batch
   // and, on an LP-only or empty-graph session, FailedPrecondition.
-  // SolveLp's matrix-coloring cache keys on LP content, not the session
-  // graph, so it is unaffected by edits.
+  // SolveLp's cache entries color LP matrix graphs, not the session
+  // graph, so edits leave them alone (and repairs + fallbacks count graph
+  // entries only).
   StatusOr<EditApplyResult> ApplyEdits(const std::vector<dynamic::EditOp>& edits,
                                        const EditApplyOptions& options = {});
 

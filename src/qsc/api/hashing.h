@@ -1,6 +1,6 @@
-// Byte-mixing helpers shared by the api layer's cache keys
-// (ColoringSpecHash and SolveLp's LP content fingerprint). Kept in one
-// place so both keyings agree on canonicalization — in particular the
+// Mixing helpers shared by the api layer's cache keys (ColoringSpecHash
+// and the LP content fingerprint, FingerprintLp). Kept in one place so
+// both keyings agree on canonicalization — in particular the
 // -0.0 fold, which keeps bitwise hashing consistent with operator== on
 // doubles. NaN never reaches a cache key (the Compressor boundary rejects
 // non-finite options and ValidateLp rejects non-finite coefficients).
@@ -26,12 +26,25 @@ inline uint64_t HashMixWord(uint64_t h, uint64_t word) {
   return h;
 }
 
-inline uint64_t HashMixDouble(uint64_t h, double v) {
-  if (v == 0.0) v = 0.0;  // fold -0.0 onto 0.0
+// The bits of `v` with -0.0 folded onto 0.0.
+inline uint64_t DoubleBits(double v) {
+  if (v == 0.0) v = 0.0;
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(v), "double is not 64-bit");
   std::memcpy(&bits, &v, sizeof(bits));
-  return HashMixWord(h, bits);
+  return bits;
+}
+
+inline uint64_t HashMixDouble(uint64_t h, double v) {
+  return HashMixWord(h, DoubleBits(v));
+}
+
+// One multiply-xorshift step per 64-bit word: the LP fingerprint's mix,
+// which hashes megabytes per request where HashMixWord's byte loop would
+// cost eight multiplies per word.
+inline uint64_t HashMixWideWord(uint64_t h, uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 29);
 }
 
 constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ull;

@@ -1,5 +1,6 @@
 #include "qsc/lp/reduce.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <utility>
@@ -11,64 +12,56 @@
 namespace qsc {
 namespace {
 
-// Shared construction of the extended-matrix bipartite graph and the
-// pinned initial partition (see header).
-struct MatrixGraph {
-  Graph graph;
-  Partition initial;
-  NodeId obj_row;
-  NodeId col_base;
-  NodeId rhs_col;
-};
+// Node layout of the matrix graph (see BuildMatrixGraph): rows 0..m-1,
+// the objective row m, columns m+1..m+n, the rhs column m+n+1.
+NodeId ObjectiveRow(const LpProblem& lp) { return lp.num_rows; }
+NodeId ColumnBase(const LpProblem& lp) { return lp.num_rows + 1; }
+NodeId RhsColumn(const LpProblem& lp) {
+  return lp.num_rows + 1 + lp.num_cols;
+}
 
-MatrixGraph BuildMatrixGraph(const LpProblem& lp) {
+}  // namespace
+
+Graph BuildMatrixGraph(const LpProblem& lp) {
   const int32_t m = lp.num_rows;
   const int32_t n = lp.num_cols;
-  MatrixGraph out;
-  out.obj_row = m;
-  out.col_base = m + 1;
-  out.rhs_col = m + 1 + n;
+  const NodeId obj_row = ObjectiveRow(lp);
+  const NodeId col_base = ColumnBase(lp);
+  const NodeId rhs_col = RhsColumn(lp);
   std::vector<EdgeTriple> arcs;
   arcs.reserve(lp.entries.size() + m + n);
   for (const LpEntry& e : lp.entries) {
-    arcs.push_back({e.row, out.col_base + e.col, e.value});
+    arcs.push_back({e.row, col_base + e.col, e.value});
   }
   for (int32_t i = 0; i < m; ++i) {
-    if (lp.b[i] != 0.0) arcs.push_back({i, out.rhs_col, lp.b[i]});
+    if (lp.b[i] != 0.0) arcs.push_back({i, rhs_col, lp.b[i]});
   }
   for (int32_t j = 0; j < n; ++j) {
-    if (lp.c[j] != 0.0) {
-      arcs.push_back({out.obj_row, out.col_base + j, lp.c[j]});
-    }
+    if (lp.c[j] != 0.0) arcs.push_back({obj_row, col_base + j, lp.c[j]});
   }
-  out.graph = Graph::FromEdges(out.rhs_col + 1, arcs, /*undirected=*/false);
-
-  // Initial colors: {rows}, {objective row}, {columns}, {rhs column}.
-  std::vector<int32_t> labels(out.rhs_col + 1);
-  for (int32_t i = 0; i < m; ++i) labels[i] = 0;
-  labels[out.obj_row] = 1;
-  for (int32_t j = 0; j < n; ++j) labels[out.col_base + j] = 2;
-  labels[out.rhs_col] = 3;
-  out.initial = Partition::FromColorIds(labels);
-  return out;
+  return Graph::FromEdges(rhs_col + 1, arcs, /*undirected=*/false);
 }
 
-// Extracts the reduced LP of Eq. (6) (or the Grohe variant) from a
-// coloring of the matrix graph.
-ReducedLp ExtractReducedLp(const LpProblem& lp, const MatrixGraph& mg,
-                           const Partition& p, LpReduction variant,
-                           double max_q, double coloring_seconds) {
+Partition MatrixGraphSeed(const LpProblem& lp) {
+  // {rows}, {objective row}, {columns}, {rhs column}.
+  std::vector<int32_t> labels(RhsColumn(lp) + 1, 2);
+  std::fill(labels.begin(), labels.begin() + lp.num_rows, 0);
+  labels[ObjectiveRow(lp)] = 1;
+  labels[RhsColumn(lp)] = 3;
+  return Partition::FromColorIds(labels);
+}
+
+ReducedLp ExtractReducedLp(const LpProblem& lp, const Partition& p,
+                           LpReduction variant) {
   const int32_t m = lp.num_rows;
   const int32_t n = lp.num_cols;
   ReducedLp out;
   out.variant = variant;
-  out.max_q = max_q;
-  out.coloring_seconds = coloring_seconds;
 
   // Densify color ids separately for rows and columns, excluding the
   // pinned objective/rhs singletons.
-  const ColorId obj_color = p.ColorOf(mg.obj_row);
-  const ColorId rhs_color = p.ColorOf(mg.rhs_col);
+  const ColorId obj_color = p.ColorOf(ObjectiveRow(lp));
+  const ColorId rhs_color = p.ColorOf(RhsColumn(lp));
   std::unordered_map<ColorId, int32_t> row_id, col_id;
   out.row_color.resize(m);
   out.col_color.resize(n);
@@ -81,7 +74,7 @@ ReducedLp ExtractReducedLp(const LpProblem& lp, const MatrixGraph& mg,
     out.row_color[i] = it->second;
   }
   for (int32_t j = 0; j < n; ++j) {
-    const ColorId c = p.ColorOf(mg.col_base + j);
+    const ColorId c = p.ColorOf(ColumnBase(lp) + j);
     QSC_CHECK_NE(c, obj_color);
     QSC_CHECK_NE(c, rhs_color);
     auto [it, inserted] =
@@ -138,58 +131,31 @@ ReducedLp ExtractReducedLp(const LpProblem& lp, const MatrixGraph& mg,
   return out;
 }
 
-}  // namespace
-
-class LpColoringRefiner::Impl {
- public:
-  Impl(const LpProblem& lp, const LpReduceOptions& options)
-      : lp_(&lp),
-        options_(options),
-        matrix_graph_(BuildMatrixGraph(lp)),
-        // CanonicalBackendName aborts on malformed names and Create on
-        // unregistered ones; Compressor::SolveLp validates at the API
-        // boundary before constructing a refiner.
-        refiner_(ColoringBackendRegistry::Global().Create(
-            CanonicalBackendName(options.backend).value(),
-            matrix_graph_.graph, matrix_graph_.initial,
-            static_cast<const ColoringParams&>(options))) {}
-
-  ReducedLp ReduceTo(ColorId max_colors) {
-    QSC_CHECK_GE(max_colors, 4);
-    WallTimer timer;
-    while (refiner_->partition().num_colors() < max_colors) {
-      if (!refiner_->Step(max_colors)) break;
-    }
-    coloring_seconds_ += timer.ElapsedSeconds();
-    return ExtractReducedLp(*lp_, matrix_graph_, refiner_->partition(),
-                            options_.variant, refiner_->CurrentMaxError(),
-                            coloring_seconds_);
-  }
-
-  ColorId num_colors() const { return refiner_->partition().num_colors(); }
-
- private:
-  const LpProblem* lp_;
-  LpReduceOptions options_;
-  MatrixGraph matrix_graph_;
-  std::unique_ptr<ColoringBackend> refiner_;
-  double coloring_seconds_ = 0.0;
-};
-
 LpColoringRefiner::LpColoringRefiner(const LpProblem& lp,
-                                     const LpReduceOptions& options) {
-  // Before Impl: building the matrix graph indexes b, c and the entries.
+                                     const LpReduceOptions& options)
+    : lp_(&lp), variant_(options.variant) {
+  // Before the matrix graph: building it indexes b, c and the entries.
   QSC_CHECK_OK(ValidateLp(lp));
-  impl_ = std::make_unique<Impl>(lp, options);
+  matrix_graph_ = BuildMatrixGraph(lp);
+  // CanonicalBackendName aborts on malformed names and Create on
+  // unregistered ones; Compressor::SolveLp validates at the API boundary.
+  refiner_ = ColoringBackendRegistry::Global().Create(
+      CanonicalBackendName(options.backend).value(), matrix_graph_,
+      MatrixGraphSeed(lp), static_cast<const ColoringParams&>(options));
 }
-
-LpColoringRefiner::~LpColoringRefiner() = default;
 
 ReducedLp LpColoringRefiner::ReduceTo(ColorId max_colors) {
-  return impl_->ReduceTo(max_colors);
+  QSC_CHECK_GE(max_colors, 4);
+  WallTimer timer;
+  while (refiner_->partition().num_colors() < max_colors) {
+    if (!refiner_->Step(max_colors)) break;
+  }
+  coloring_seconds_ += timer.ElapsedSeconds();
+  ReducedLp out = ExtractReducedLp(*lp_, refiner_->partition(), variant_);
+  out.max_q = refiner_->CurrentMaxError();
+  out.coloring_seconds = coloring_seconds_;
+  return out;
 }
-
-ColorId LpColoringRefiner::num_colors() const { return impl_->num_colors(); }
 
 ReducedLp ReduceLp(const LpProblem& lp, const LpReduceOptions& options) {
   QSC_CHECK_OK(ValidateLp(lp));

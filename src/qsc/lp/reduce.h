@@ -20,6 +20,7 @@
 #include "qsc/coloring/params.h"
 #include "qsc/coloring/partition.h"
 #include "qsc/coloring/rothko.h"
+#include "qsc/graph/graph.h"
 #include "qsc/lp/model.h"
 
 namespace qsc {
@@ -62,6 +63,25 @@ struct ReducedLp {
 
 ReducedLp ReduceLp(const LpProblem& lp, const LpReduceOptions& options);
 
+// The two halves of a reduction around its coloring, shared by
+// LpColoringRefiner and the session cache (qsc::Compressor::SolveLp).
+// `lp` must be valid (ValidateLp).
+//
+// BuildMatrixGraph: the directed bipartite graph of A_ext. Nodes are the
+// rows 0..m-1, the objective row m, the columns m+1..m+n and the rhs
+// column m+n+1; arcs run row -> column with the coefficient as weight.
+// MatrixGraphSeed: its initial partition {rows}, {objective row},
+// {columns}, {rhs column}, which keeps rows and columns apart and pins the
+// two singletons.
+Graph BuildMatrixGraph(const LpProblem& lp);
+Partition MatrixGraphSeed(const LpProblem& lp);
+
+// The reduced LP of Eq. (6) (or the Grohe variant) for a coloring of
+// BuildMatrixGraph(lp) refined from MatrixGraphSeed(lp). Leaves max_q and
+// coloring_seconds at 0 for the caller to fill.
+ReducedLp ExtractReducedLp(const LpProblem& lp, const Partition& coloring,
+                           LpReduction variant);
+
 // Anytime variant (paper Sec 5.2: Rothko as a co-routine). Holds the
 // matrix-graph coloring across calls so successive budgets refine the same
 // partition instead of recoloring from scratch:
@@ -73,8 +93,8 @@ ReducedLp ReduceLp(const LpProblem& lp, const LpReduceOptions& options);
 //   }
 class LpColoringRefiner {
  public:
+  // Keeps a reference to `lp`, which must outlive the refiner.
   LpColoringRefiner(const LpProblem& lp, const LpReduceOptions& options);
-  ~LpColoringRefiner();
 
   LpColoringRefiner(const LpColoringRefiner&) = delete;
   LpColoringRefiner& operator=(const LpColoringRefiner&) = delete;
@@ -86,11 +106,14 @@ class LpColoringRefiner {
 
   // Colors of the current matrix-graph partition (>= 4 once constructed).
   // A budget at or above this is a valid ReduceTo argument.
-  ColorId num_colors() const;
+  ColorId num_colors() const { return refiner_->partition().num_colors(); }
 
  private:
-  class Impl;
-  std::unique_ptr<Impl> impl_;
+  const LpProblem* lp_;
+  LpReduction variant_;
+  Graph matrix_graph_;
+  std::unique_ptr<ColoringBackend> refiner_;  // over matrix_graph_
+  double coloring_seconds_ = 0.0;
 };
 
 // Lifts a reduced solution x^ back to the original variable space

@@ -19,6 +19,10 @@
 #include "qsc/coloring/partition.h"
 #include "qsc/coloring/rothko.h"
 #include "qsc/graph/graph.h"
+#include "qsc/graph/graph_store.h"
+#include "qsc/lp/generators.h"
+#include "qsc/lp/model.h"
+#include "qsc/lp/reduce.h"
 #include "rothko_corpus.h"
 
 namespace qsc {
@@ -209,6 +213,82 @@ TEST(CacheEvictionTest, CompressorByteBudgetIsTransparent) {
   EXPECT_EQ(stats.coloring.hits + stats.coloring.misses +
                 stats.coloring.recolorings,
             stats.coloring.lookups);
+}
+
+// LP entries (SolveLp's matrix colorings) live in the same budgeted
+// cache: under a budget that evicts after every query, repeated and
+// interleaved LPs still answer exactly as an unbudgeted session does.
+TEST(CacheEvictionTest, SolveLpByteBudgetIsTransparent) {
+  CompressorOptions options;
+  options.coloring_cache_byte_budget = 1;
+  // A null graph makes an LP-only session that still takes options.
+  Compressor budgeted(std::shared_ptr<const Graph>(), /*pool=*/nullptr,
+                      options);
+  Compressor unbudgeted;
+
+  const LpProblem a = MakeQapLikeLp(6, 3);
+  const LpProblem b = MakeBlockLp({});
+  QueryOptions query;
+  int step = 0;
+  for (const LpProblem* lp : {&a, &a, &b, &a, &b, &b}) {
+    query.max_colors = 8 + 4 * (step++ % 3);  // up and down budgets
+    const auto want = unbudgeted.SolveLp(*lp, query);
+    const auto got = budgeted.SolveLp(*lp, query);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->reduced.row_color, want->reduced.row_color);
+    EXPECT_EQ(got->reduced.col_color, want->reduced.col_color);
+    EXPECT_EQ(got->reduced.max_q, want->reduced.max_q);
+    EXPECT_EQ(got->solution.objective, want->solution.objective);
+    EXPECT_EQ(got->lifted_x, want->lifted_x);
+    EXPECT_EQ(budgeted.stats().coloring.bytes_in_use, 0);
+  }
+  const CompressorStats stats = budgeted.stats();
+  EXPECT_GT(stats.coloring.evictions, 0);
+  EXPECT_EQ(stats.coloring.bytes_in_use, 0);
+  EXPECT_GT(stats.coloring.peak_bytes, 0);
+  // Every lookup recomputes under the tiny budget.
+  EXPECT_EQ(stats.lp_lookups, 6);
+  EXPECT_EQ(stats.lp_misses, 6);
+  EXPECT_EQ(stats.lp_hits + stats.lp_misses + stats.lp_recolorings,
+            stats.lp_lookups);
+  EXPECT_GT(unbudgeted.stats().coloring.bytes_in_use, 0);
+  EXPECT_EQ(unbudgeted.stats().coloring.evictions, 0);
+}
+
+// A lookup may lend its LP (a non-owning pointer): the cache keeps its own
+// copy, so the entry outlives the lent object and an equal LP in another
+// object hits it.
+TEST(CacheEvictionTest, LpSpecKeepsItsOwnCopyOfALentLp) {
+  ColoringCache cache(GraphStore(), /*pool=*/nullptr);
+  ColoringSpec spec;
+  spec.alpha = 1.0;
+  std::shared_ptr<const Partition> first;
+  {
+    const LpProblem lent = MakeQapLikeLp(6, 3);
+    spec.lp = std::shared_ptr<const LpProblem>(
+        std::shared_ptr<const LpProblem>(), &lent);
+    spec.lp_fingerprint = FingerprintLp(lent);
+    first = cache.Refine(spec, 12).partition;
+  }
+  const LpProblem again = MakeQapLikeLp(6, 3);
+  spec.lp = std::shared_ptr<const LpProblem>(
+      std::shared_ptr<const LpProblem>(), &again);
+  EXPECT_EQ(spec.lp_fingerprint, FingerprintLp(again));
+  const ColoringCache::Handle hit = cache.Refine(spec, 16);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(cache.num_entries(), 1);
+  EXPECT_EQ(hit.partition->num_colors(), 16);
+  EXPECT_EQ(first->num_colors(), 12);
+
+  LpReduceOptions cold;
+  cold.max_colors = 16;
+  const ReducedLp want = ReduceLp(again, cold);
+  const ReducedLp got =
+      ExtractReducedLp(again, *hit.partition, LpReduction::kSqrtNormalized);
+  EXPECT_EQ(got.row_color, want.row_color);
+  EXPECT_EQ(got.col_color, want.col_color);
+  EXPECT_EQ(hit.max_error, want.max_q);
 }
 
 }  // namespace

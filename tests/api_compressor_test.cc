@@ -661,6 +661,119 @@ TEST(CompressorTest, SolveLpRoutesBackendToTheMatrixColoring) {
   EXPECT_EQ(rothko->lifted_x.size(), static_cast<size_t>(lp.num_cols));
 }
 
+// Every field of a reduction but its timing.
+void ExpectSameReducedLp(const ReducedLp& got, const ReducedLp& want) {
+  EXPECT_EQ(got.lp.num_rows, want.lp.num_rows);
+  EXPECT_EQ(got.lp.num_cols, want.lp.num_cols);
+  ASSERT_EQ(got.lp.entries.size(), want.lp.entries.size());
+  for (size_t i = 0; i < got.lp.entries.size(); ++i) {
+    EXPECT_EQ(got.lp.entries[i].row, want.lp.entries[i].row) << i;
+    EXPECT_EQ(got.lp.entries[i].col, want.lp.entries[i].col) << i;
+    EXPECT_EQ(got.lp.entries[i].value, want.lp.entries[i].value) << i;
+  }
+  EXPECT_EQ(got.lp.b, want.lp.b);
+  EXPECT_EQ(got.lp.c, want.lp.c);
+  EXPECT_EQ(got.row_color, want.row_color);
+  EXPECT_EQ(got.col_color, want.col_color);
+  EXPECT_EQ(got.row_color_size, want.row_color_size);
+  EXPECT_EQ(got.col_color_size, want.col_color_size);
+  EXPECT_EQ(got.variant, want.variant);
+  EXPECT_EQ(got.max_q, want.max_q);
+}
+
+TEST(CompressorTest, SolveLpReportsItsSplits) {
+  const LpProblem lp = MakeQapLikeLp(6, 3);
+  Compressor session;
+  QueryOptions query;
+  query.max_colors = 24;
+  const auto first = session.SolveLp(lp, query);
+  ASSERT_TRUE(first.ok());
+  // The matrix coloring starts from 4 colors (rows, objective row,
+  // columns, rhs column); the reduction has one row or column per color
+  // besides the two pinned singletons.
+  const int64_t num_colors =
+      first->reduced.lp.num_rows + first->reduced.lp.num_cols + 2;
+  EXPECT_EQ(num_colors, 24);
+  EXPECT_FALSE(first->telemetry.coloring_cache_hit);
+  EXPECT_EQ(first->telemetry.coloring_splits, num_colors - 4);
+
+  const auto repeat = session.SolveLp(lp, query);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat->telemetry.coloring_cache_hit);
+  EXPECT_EQ(repeat->telemetry.coloring_splits, 0);
+}
+
+TEST(CompressorTest, SolveLpVariantsShareOneMatrixColoring) {
+  // The reduction variant changes only the extraction, so both variants
+  // are served from one cached coloring.
+  const LpProblem lp = MakeQapLikeLp(6, 3);
+  Compressor session;
+  QueryOptions query;
+  query.max_colors = 16;
+  query.lp_variant = LpReduction::kSqrtNormalized;
+  ASSERT_TRUE(session.SolveLp(lp, query).ok());
+  query.lp_variant = LpReduction::kGrohe;
+  const auto grohe = session.SolveLp(lp, query);
+  ASSERT_TRUE(grohe.ok());
+  EXPECT_TRUE(grohe->telemetry.coloring_cache_hit);
+  EXPECT_EQ(grohe->telemetry.coloring_splits, 0);
+  EXPECT_EQ(session.stats().lp_misses, 1);
+  EXPECT_EQ(session.stats().lp_hits, 1);
+
+  LpReduceOptions cold;
+  cold.max_colors = 16;
+  cold.variant = LpReduction::kGrohe;
+  const ReducedLp want = ReduceLp(lp, cold);
+  ExpectSameReducedLp(grohe->reduced, want);
+  EXPECT_EQ(grohe->solution.objective, SolveSimplex(want.lp).objective);
+}
+
+TEST(CompressorTest, SolveLpCachedColoringSurvivesEdits) {
+  // Edits change the session graph, not the LP's matrix graph: the LP
+  // entry is neither repaired nor reset, and the repeat is a hit.
+  Compressor session(TestGraph());
+  const LpProblem lp = MakeQapLikeLp(6, 3);
+  QueryOptions query;
+  query.max_colors = 20;
+  const auto before = session.SolveLp(lp, query);
+  ASSERT_TRUE(before.ok());
+  QueryOptions coloring;
+  coloring.max_colors = 16;
+  QSC_CHECK_OK(session.Coloring(coloring));  // the one graph entry
+
+  const StatusOr<std::vector<dynamic::EditOp>> edits = dynamic::GenerateEdits(
+      session.graph(), dynamic::EditKind::kInsertEdge, 10, 41);
+  QSC_CHECK_OK(edits);
+  const auto applied = session.ApplyEdits(*edits);
+  QSC_CHECK_OK(applied);
+  EXPECT_EQ(applied->repairs + applied->fallbacks, 1);
+
+  const auto after = session.SolveLp(lp, query);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->telemetry.coloring_cache_hit);
+  EXPECT_EQ(after->telemetry.coloring_splits, 0);
+  EXPECT_EQ(after->telemetry.graph_version, 1);
+  EXPECT_EQ(session.stats().lp_hits, 1);
+  EXPECT_EQ(session.stats().lp_misses, 1);
+  ExpectSameReducedLp(after->reduced, before->reduced);
+  EXPECT_EQ(after->solution.objective, before->solution.objective);
+  EXPECT_EQ(after->lifted_x, before->lifted_x);
+}
+
+TEST(CompressorTest, SolveLpEntriesCountTowardTheCacheBytes) {
+  Compressor session;
+  EXPECT_EQ(session.stats().coloring.bytes_in_use, 0);
+  ASSERT_TRUE(session.SolveLp(MakeQapLikeLp(6, 3)).ok());
+  const CompressorStats stats = session.stats();
+  EXPECT_GT(stats.coloring.bytes_in_use, 0);
+  EXPECT_EQ(stats.coloring.peak_bytes, stats.coloring.bytes_in_use);
+  // LP lookups stay out of the graph-coloring totals.
+  EXPECT_EQ(stats.coloring.lookups, 0);
+  EXPECT_TRUE(stats.coloring.per_backend.empty());
+  EXPECT_EQ(stats.coloring.lp.lookups, 1);
+  EXPECT_GT(stats.coloring.lp.refine_splits, 0);
+}
+
 // --- dynamic edits (ApplyEdits) -------------------------------------------
 
 TEST(CompressorValidationTest, ApplyEditsRejectsBadBatchesUpFront) {
