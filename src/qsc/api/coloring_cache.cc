@@ -36,16 +36,11 @@ std::unique_ptr<dynamic::IncrementalRecolorer> MakeBackend(
 }
 
 // Heap an LP entry owns besides its refiner and snapshots: the matrix
-// graph (out- and in-CSR plus two weighted-degree arrays) and the map
-// key's copy of the LP.
-int64_t LpEntryBytes(const LpProblem& lp, const GraphView& matrix) {
-  const size_t nodes = matrix.num_nodes() + 1;
-  const size_t arcs = matrix.num_arcs();
-  return static_cast<int64_t>(
-      2 * (nodes * (sizeof(int64_t) + sizeof(double)) +
-           arcs * (sizeof(NodeId) + sizeof(double))) +
-      lp.entries.size() * sizeof(LpEntry) +
-      (lp.b.size() + lp.c.size()) * sizeof(double));
+// graph and the map key's copy of the LP.
+int64_t LpEntryBytes(const LpProblem& lp, const Graph& matrix) {
+  return matrix.MemoryBytes() +
+         static_cast<int64_t>(lp.entries.size() * sizeof(LpEntry) +
+                              (lp.b.size() + lp.c.size()) * sizeof(double));
 }
 
 // Content equality of two specs' LPs (both null for graph specs). The
@@ -129,6 +124,25 @@ Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes) {
   return Partition::FromColorIds(labels);
 }
 
+// One served coloring and what has been derived from it. Owned by its
+// entry (head and/or served) and touched only under the entry mutex.
+struct ColoringCache::Snapshot {
+  std::shared_ptr<const Partition> partition;
+  double max_error = 0.0;
+  // Memoized artifacts of `partition`, one per key (few per snapshot, so
+  // a linear scan).
+  std::vector<std::pair<DerivedKey, Derived>> derived;
+
+  int64_t DerivedBytes() const {
+    int64_t total = 0;
+    for (const auto& [key, artifact] : derived) {
+      total += static_cast<int64_t>(sizeof(key) + sizeof(artifact)) +
+               artifact.bytes;
+    }
+    return total;
+  }
+};
+
 struct ColoringCache::Entry {
   // Serializes every read and write of the refinement fields below. Held
   // for the whole refinement of one request, so concurrent requests
@@ -141,6 +155,10 @@ struct ColoringCache::Entry {
   // specs behind a graph scan. The wrapper holds the spec's backend and
   // gives ApplyGraph its repair verb.
   std::unique_ptr<dynamic::IncrementalRecolorer> refiner;
+  // refiner->MemoryBytes(), refreshed whenever the refiner is built,
+  // stepped or repaired; the walk over its degree rows is too slow to
+  // repeat on every hit.
+  int64_t refiner_bytes = 0;
   // An LP entry's matrix graph, built with its refiner; empty for a graph
   // spec, whose refiner runs over the cache's graph.
   GraphStore matrix_graph;
@@ -154,11 +172,10 @@ struct ColoringCache::Entry {
   // splittable color); larger budgets cannot advance it.
   bool converged = false;
   // Snapshot of the refiner's current partition; reset on refinement.
-  std::shared_ptr<const Partition> head;
+  std::shared_ptr<Snapshot> head;
   // Snapshots previously served, keyed by requested budget. Serves
   // down-budget requests without rerunning (splits are not invertible).
-  std::map<ColorId, std::pair<std::shared_ptr<const Partition>, double>>
-      served;
+  std::map<ColorId, std::shared_ptr<Snapshot>> served;
 
   // Pin count of in-flight Refine() calls. Increments happen under the
   // cache map lock (shared or unique) and the eviction scan runs under
@@ -171,27 +188,38 @@ struct ColoringCache::Entry {
   // map's unique lock.
   int64_t bytes = 0;
 
+  // Snapshots the refiner's current partition as the new head. Reads the
+  // error first: CurrentMaxError() may pop stale heap entries, which the
+  // refiner's footprint counts, so the byte memo is taken after it.
+  void NewHead() {
+    head = std::make_shared<Snapshot>();
+    head->partition = std::make_shared<const Partition>(refiner->partition());
+    head->max_error = refiner->CurrentMaxError();
+    refiner_bytes = refiner->MemoryBytes();
+  }
+
   // Footprint of this entry: the live refiner, an LP entry's own data,
-  // and every distinct served snapshot (down-budget memoizations often
-  // alias the head or each other; each partition is counted once). Caller
-  // holds `mutex`.
+  // and every distinct served snapshot with its artifacts (down-budget
+  // memoizations often alias the head or each other; each snapshot is
+  // counted once). Caller holds `mutex`.
   int64_t MemoryBytes() const {
+    QSC_DCHECK(refiner == nullptr || refiner_bytes == refiner->MemoryBytes());
     int64_t total = static_cast<int64_t>(sizeof(Entry)) + lp_bytes;
-    if (refiner != nullptr) total += refiner->MemoryBytes();
-    std::vector<const Partition*> counted;
-    const auto count = [&](const std::shared_ptr<const Partition>& p) {
-      if (p == nullptr) return;
-      if (std::find(counted.begin(), counted.end(), p.get()) !=
+    if (refiner != nullptr) total += refiner_bytes;
+    std::vector<const Snapshot*> counted;
+    const auto count = [&](const std::shared_ptr<Snapshot>& s) {
+      if (s == nullptr) return;
+      if (std::find(counted.begin(), counted.end(), s.get()) !=
           counted.end()) {
         return;
       }
-      counted.push_back(p.get());
-      total += p->MemoryBytes();
+      counted.push_back(s.get());
+      total += s->partition->MemoryBytes() + s->DerivedBytes();
     };
     count(head);
     for (const auto& [budget, snapshot] : served) {
       total += static_cast<int64_t>(sizeof(ColorId) + sizeof(snapshot));
-      count(snapshot.first);
+      count(snapshot);
     }
     return total;
   }
@@ -225,7 +253,8 @@ int64_t ColoringCache::num_entries() const {
 }
 
 ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
-                                            ColorId budget) {
+                                            ColorId budget,
+                                            const DerivedRequest* derived) {
   QSC_CHECK_GT(budget, 0);
   WallTimer timer;
   Handle handle;
@@ -297,7 +326,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
       if (entry->matrix_graph.empty()) {
         entry->matrix_graph = GraphStore(
             std::make_shared<const Graph>(BuildMatrixGraph(*spec.lp)));
-        entry->lp_bytes = LpEntryBytes(*spec.lp, entry->matrix_graph.view());
+        entry->lp_bytes = LpEntryBytes(*spec.lp, entry->matrix_graph.graph());
       }
       graph = entry->matrix_graph;
     }
@@ -311,6 +340,8 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
     // without taking the down-budget recompute path.
     budget = std::max(budget, entry->initial_colors);
 
+    // The snapshot this request serves.
+    std::shared_ptr<Snapshot> snapshot;
     if (entry->refiner->partition().num_colors() > budget) {
       // Down-budget request on a refiner that has already split past
       // `budget`: serve the memoized snapshot, or recompute this budget
@@ -320,8 +351,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
       if (served != entry->served.end()) {
         if (found) attribute([](auto& row) { ++row.hits; });
         handle.cache_hit = true;
-        handle.partition = served->second.first;
-        handle.max_error = served->second.second;
+        snapshot = served->second;
       } else {
         std::unique_ptr<dynamic::IncrementalRecolorer> fresh =
             MakeBackend(graph, spec, pool_);
@@ -334,10 +364,11 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
           row.refine_splits += handle.splits;
           if (found) ++row.recolorings;
         });
-        handle.partition =
+        snapshot = std::make_shared<Snapshot>();
+        snapshot->partition =
             std::make_shared<const Partition>(fresh->partition());
-        handle.max_error = fresh->CurrentMaxError();
-        entry->served[budget] = {handle.partition, handle.max_error};
+        snapshot->max_error = fresh->CurrentMaxError();
+        entry->served[budget] = snapshot;
       }
     } else {
       // Continue the cached refinement — the same loop as
@@ -345,8 +376,10 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
       // run at `budget`.
       handle.cache_hit = found;
       const ColorId before = entry->refiner->partition().num_colors();
+      bool stepped = false;
       while (!entry->converged &&
              entry->refiner->partition().num_colors() < budget) {
+        stepped = true;
         if (!entry->refiner->Step(budget)) {
           entry->converged = true;
         }
@@ -357,18 +390,42 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
         if (found) ++row.hits;
       });
       if (handle.splits > 0 || entry->head == nullptr) {
-        entry->head =
-            std::make_shared<const Partition>(entry->refiner->partition());
+        entry->NewHead();
+      } else if (stepped) {
+        // A Step that found nothing to split may still have popped stale
+        // heap entries.
+        entry->refiner_bytes = entry->refiner->MemoryBytes();
       }
-      handle.partition = entry->head;
-      handle.max_error = entry->refiner->CurrentMaxError();
-      entry->served[budget] = {handle.partition, handle.max_error};
+      snapshot = entry->head;
+      entry->served[budget] = snapshot;
+    }
+    handle.partition = snapshot->partition;
+    handle.max_error = snapshot->max_error;
+
+    if (derived != nullptr) {
+      const auto memo = std::find_if(
+          snapshot->derived.begin(), snapshot->derived.end(),
+          [&](const auto& artifact) { return artifact.first == derived->key; });
+      const bool hit = memo != snapshot->derived.end();
+      if (hit) {
+        handle.derived = memo->second.value;
+      } else {
+        WallTimer build_timer;
+        Derived artifact = derived->build(*snapshot->partition);
+        QSC_CHECK(artifact.value != nullptr);
+        QSC_CHECK_GE(artifact.bytes, 0);
+        handle.derived = artifact.value;
+        snapshot->derived.emplace_back(derived->key, std::move(artifact));
+        handle.derived_seconds = build_timer.ElapsedSeconds();
+      }
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++(hit ? stats_.derived_hits : stats_.derived_builds);
     }
     entry_bytes = entry->MemoryBytes();
   }
 
   FinishUse(entry, entry_bytes);
-  handle.seconds = timer.ElapsedSeconds();
+  handle.seconds = timer.ElapsedSeconds() - handle.derived_seconds;
   return handle;
 }
 
@@ -399,8 +456,10 @@ ColoringCache::EditApplyStats ColoringCache::ApplyGraph(
           entry->refiner->ApplyGraph(graph_, edits, options);
       entry->converged = outcome.converged;
       // Snapshots of the old graph's colorings must not be served again.
+      // Their artifacts go with them.
       entry->head = nullptr;
       entry->served.clear();
+      entry->refiner_bytes = entry->refiner->MemoryBytes();
       ++result.entries;
       if (outcome.repaired) {
         ++result.repairs;

@@ -37,11 +37,21 @@
 // everything above with graph entries but their stats row; edits leave
 // them alone.
 //
+// Derived artifacts: everything a query computes from a served coloring
+// and nothing else — a reduced graph, a pivot-score vector, a reduced LP —
+// is a pure function of that snapshot. Refine() therefore takes an
+// optional (key, builder) pair and memoizes the builder's type-erased
+// result on the snapshot it serves, so each (snapshot, key) is built at
+// most once and a warm query pays only for its answer. Artifacts live and
+// die with their snapshot (a new head, eviction, ApplyGraph's reset), so
+// none outlives the graph it was built from. The cache never looks inside
+// one; qsc::Compressor supplies the builders.
+//
 // Byte budget (ColoringCacheOptions): a long-lived server cannot let the
 // entry map grow without bound, so the cache tracks the footprint of every
-// entry (live refiner + distinct served snapshots) and, when a budget is
-// configured, evicts least-recently-used idle entries after each request
-// until the total is back within the budget. Eviction never changes a
+// entry (live refiner + distinct served snapshots and their artifacts)
+// and, when a budget is configured, evicts least-recently-used idle
+// entries after each request until the total is back within the budget. Eviction never changes a
 // result: a re-queried evicted spec recomputes from scratch — a miss in
 // the stats — and the anytime determinism makes the recomputed partition
 // bitwise equal to the evicted one (tests/api_cache_eviction_test.cc
@@ -54,6 +64,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -169,6 +180,9 @@ struct CacheStats {
   int64_t recolorings = 0;   // down-budget recomputes within a cached spec
   int64_t refine_splits = 0; // total witness splits performed
   int64_t evictions = 0;     // entries evicted to satisfy the byte budget
+  int64_t derived_builds = 0;  // derived artifacts built (graph and LP
+                               // specs together)
+  int64_t derived_hits = 0;    // requests served a memoized artifact
   int64_t bytes_in_use = 0;  // tracked footprint of all current entries
   int64_t peak_bytes = 0;    // high-water mark of bytes_in_use
 
@@ -193,12 +207,14 @@ struct CacheStats {
 struct ColoringCacheOptions {
   // Maximum total entry footprint in bytes; 0 = unlimited (never evict).
   // An entry's footprint is its live refiner (RothkoRefiner::MemoryBytes)
-  // plus every distinct partition snapshot it serves; an LP entry also
-  // counts its matrix graph and its copy of the LP. When a request
-  // leaves the total above the budget, least-recently-used idle entries
-  // are evicted — possibly including the entry the request itself used —
-  // until the total is back within the budget, so with no concurrent
-  // requests in flight, bytes_in_use <= byte_budget after every Refine().
+  // plus every distinct partition snapshot it serves and the derived
+  // artifacts memoized on those snapshots (at the byte size their
+  // builders report); an LP entry also counts its matrix graph and its
+  // copy of the LP. When a request leaves the total above the budget,
+  // least-recently-used idle entries are evicted — possibly including the
+  // entry the request itself used — until the total is back within the
+  // budget, so with no concurrent requests in flight, bytes_in_use <=
+  // byte_budget after every Refine().
   // Eviction is invisible to results: a re-queried evicted spec
   // recomputes bit-identically (and counts as a miss).
   int64_t byte_budget = 0;
@@ -209,6 +225,34 @@ struct ColoringCacheOptions {
 // the locking granularity and the determinism guarantee).
 class ColoringCache {
  public:
+  // Identifies one derived artifact of a snapshot. `kind` names the
+  // artifact and `a`, `b` its parameters; the caller assigns all three.
+  struct DerivedKey {
+    int32_t kind = 0;
+    uint64_t a = 0;
+    uint64_t b = 0;
+
+    friend bool operator==(const DerivedKey& x, const DerivedKey& y) {
+      return x.kind == y.kind && x.a == y.a && x.b == y.b;
+    }
+  };
+
+  // A built artifact: an immutable, type-erased value and the heap bytes
+  // it holds (counted in the entry footprint).
+  struct Derived {
+    std::shared_ptr<const void> value;
+    int64_t bytes = 0;
+  };
+
+  // The optional (key, builder) pair of a Refine() call. `build` receives
+  // the served partition and must be a pure function of it and of the
+  // key, so a memoized value and a rebuilt one are interchangeable. It
+  // runs under the entry's lock.
+  struct DerivedRequest {
+    DerivedKey key;
+    std::function<Derived(const Partition&)> build;
+  };
+
   // One served coloring. `partition` is a shared immutable snapshot —
   // callers must not assume it tracks later refinement.
   struct Handle {
@@ -216,7 +260,12 @@ class ColoringCache {
     double max_error = 0.0;  // max unweighted q-error of `partition`
     bool cache_hit = false;  // an existing entry served this request
     int64_t splits = 0;      // witness splits this request performed
-    double seconds = 0.0;    // wall-clock cost of this request
+    double seconds = 0.0;    // wall-clock cost of the coloring (excludes
+                             // derived_seconds)
+    // The requested artifact of `partition` (null without a request) and
+    // the time this request spent building it (0 when it was memoized).
+    std::shared_ptr<const void> derived;
+    double derived_seconds = 0.0;
   };
 
   // Graph specs run over `graph.view()` (owned or mapped; empty serves LP
@@ -245,7 +294,14 @@ class ColoringCache {
   // — regardless of which budgets were served before and of concurrent
   // callers (every backend honors the determinism contract of
   // coloring/backend.h).
-  Handle Refine(const ColoringSpec& spec, ColorId budget);
+  //
+  // With a non-null `derived`, the handle also carries that artifact of
+  // the served snapshot: memoized if this (snapshot, key) was built
+  // before, otherwise built now — under the entry lock, so concurrent
+  // requests for one spec build it once — and counted in the footprint
+  // before the budget is enforced.
+  Handle Refine(const ColoringSpec& spec, ColorId budget,
+                const DerivedRequest* derived = nullptr);
 
   // Aggregate outcome of one ApplyGraph call.
   struct EditApplyStats {
@@ -278,6 +334,7 @@ class ColoringCache {
 
  private:
   struct Entry;
+  struct Snapshot;
 
   // Footprint accounting + unpin + budget enforcement after one Refine():
   // folds `new_bytes` into the total, releases the caller's pin, and

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "qsc/api/hashing.h"
 #include "qsc/centrality/color_pivot.h"
 #include "qsc/coloring/reduced_graph.h"
 #include "qsc/flow/push_relabel.h"
@@ -97,6 +98,68 @@ ColoringSpec SpecFor(const QueryOptions& options, double default_alpha,
   spec.backend = std::move(backend);
   spec.pinned = std::move(pinned);
   return spec;
+}
+
+// The derived artifacts the session memoizes on served snapshots
+// (ColoringCache::DerivedKey::kind; the key's a/b are noted per kind).
+enum DerivedKind : int32_t {
+  kFlowUpper = 1,    // FlowGraphs without `lower`
+  kFlowBounds = 2,   // FlowGraphs with `lower`; a = uniform_flow_tol bits
+  kPivotScores = 3,  // centrality scores; a = pivots_per_color, b = seed
+  kReducedLp = 4,    // ReducedLp; a = lp_variant
+};
+
+// The reduced graphs MaxFlow solves (Theorem 6): the c^2 graph with
+// summed capacities, and, for a lower-bound request, the c^1 graph.
+struct FlowGraphs {
+  Graph upper;
+  Graph lower;
+};
+
+template <typename T>
+ColoringCache::Derived MakeDerived(T value, int64_t bytes) {
+  return {std::make_shared<const T>(std::move(value)),
+          static_cast<int64_t>(sizeof(T)) + bytes};
+}
+
+ColoringCache::Derived BuildFlowGraphs(const GraphView& g, const Partition& p,
+                                       bool with_lower, double tol) {
+  FlowGraphs graphs;
+  graphs.upper = BuildReducedGraph(g, p, ReducedWeight::kSum);
+  if (with_lower) {
+    // c^1(i, j) = maxUFlow(P_i, P_j): the largest flow shippable between
+    // the two colors with uniform per-node rates (Theorem 6).
+    std::vector<EdgeTriple> arcs;
+    for (const EdgeTriple& a : graphs.upper.Arcs()) {
+      if (a.src == a.dst) continue;
+      const double c1 =
+          MaxUniformFlow(g, p.Members(a.src), p.Members(a.dst), tol);
+      if (c1 > 0.0) {
+        arcs.push_back({a.src, a.dst, c1});
+      }
+    }
+    graphs.lower = Graph::FromEdges(p.num_colors(), arcs, /*undirected=*/false);
+  }
+  const int64_t bytes = graphs.upper.MemoryBytes() + graphs.lower.MemoryBytes();
+  return MakeDerived(std::move(graphs), bytes);
+}
+
+ColoringCache::Derived BuildReducedLp(const LpProblem& lp, const Partition& p,
+                                      LpReduction variant) {
+  ReducedLp reduced = ExtractReducedLp(lp, p, variant);
+  const int64_t bytes = static_cast<int64_t>(
+      reduced.lp.entries.capacity() * sizeof(LpEntry) +
+      (reduced.lp.b.capacity() + reduced.lp.c.capacity()) * sizeof(double) +
+      (reduced.row_color.capacity() + reduced.col_color.capacity()) *
+          sizeof(int32_t) +
+      (reduced.row_color_size.capacity() + reduced.col_color_size.capacity()) *
+          sizeof(int64_t));
+  return MakeDerived(std::move(reduced), bytes);
+}
+
+template <typename T>
+const T& DerivedAs(const ColoringCache::Handle& handle) {
+  return *static_cast<const T*>(handle.derived.get());
 }
 
 }  // namespace
@@ -223,22 +286,26 @@ class Compressor::Impl {
     spec.lp = std::shared_ptr<const LpProblem>(
         std::shared_ptr<const LpProblem>(), &lp);
     spec.lp_fingerprint = FingerprintLp(lp);
+    const ColoringCache::DerivedRequest request{
+        {kReducedLp, static_cast<uint64_t>(options.lp_variant)},
+        [&](const Partition& p) {
+          return BuildReducedLp(lp, p, options.lp_variant);
+        }};
     const ColoringCache::Handle handle =
-        cache_.Refine(spec, options.max_colors);
+        cache_.Refine(spec, options.max_colors, &request);
 
     LpQueryResult result;
     result.telemetry = TelemetryFor(handle);
     result.telemetry.graph_version = graph_version_;
     WallTimer timer;
-    result.reduced =
-        ExtractReducedLp(lp, *handle.partition, options.lp_variant);
+    result.reduced = DerivedAs<ReducedLp>(handle);
     result.reduced.max_q = handle.max_error;
     result.reduced.coloring_seconds = handle.seconds;
     result.solution = SolveSimplex(result.reduced.lp);
     if (result.solution.status == LpStatus::kOptimal) {
       result.lifted_x = LiftSolution(result.reduced, result.solution.x);
     }
-    result.telemetry.solve_seconds = timer.ElapsedSeconds();
+    result.telemetry.solve_seconds += timer.ElapsedSeconds();
     return result;
   }
 
@@ -259,19 +326,29 @@ class Compressor::Impl {
     const ColoringSpec spec =
         SpecFor(options, /*default_alpha=*/1.0, /*default_beta=*/1.0,
                 options.pinned, *std::move(backend));
+    const ColoringCache::DerivedRequest request{
+        {kPivotScores, static_cast<uint64_t>(options.pivots_per_color),
+         options.seed},
+        [&](const Partition& p) {
+          std::vector<double> scores = ColorPivotScores(
+              graph_.view(), p, options.pivots_per_color, options.seed,
+              pool_);
+          const auto bytes =
+              static_cast<int64_t>(scores.capacity() * sizeof(double));
+          return MakeDerived(std::move(scores), bytes);
+        }};
     const ColoringCache::Handle handle =
-        cache_.Refine(spec, options.max_colors);
+        cache_.Refine(spec, options.max_colors, &request);
 
     CentralityQueryResult result;
     result.coloring = handle.partition;
     result.num_colors = handle.partition->num_colors();
+    result.max_q = handle.max_error;
     result.telemetry = TelemetryFor(handle);
     result.telemetry.graph_version = graph_version_;
     WallTimer timer;
-    result.scores =
-        ColorPivotScores(graph_.view(), *handle.partition,
-                         options.pivots_per_color, options.seed, pool_);
-    result.telemetry.solve_seconds = timer.ElapsedSeconds();
+    result.scores = DerivedAs<std::vector<double>>(handle);
+    result.telemetry.solve_seconds += timer.ElapsedSeconds();
     return result;
   }
 
@@ -335,6 +412,9 @@ class Compressor::Impl {
     t.coloring_cache_hit = handle.cache_hit;
     t.coloring_splits = handle.splits;
     t.coloring_seconds = handle.seconds;
+    // Building a derived artifact is solve work; the rest of the solve
+    // is added by the caller.
+    t.solve_seconds = handle.derived_seconds;
     return t;
   }
 
@@ -377,8 +457,9 @@ class Compressor::Impl {
     return Status::Ok();
   }
 
-  // The Theorem-6 pipeline of ApproximateMaxFlow, with the coloring served
-  // from the session cache. Inputs already validated.
+  // The Theorem-6 pipeline of ApproximateMaxFlow, with the coloring and
+  // its reduced graphs served from the session cache. Inputs already
+  // validated.
   StatusOr<FlowQueryResult> MaxFlowUnchecked(NodeId source, NodeId sink,
                                              const QueryOptions& options) {
     const ColoringSpec spec =
@@ -386,44 +467,38 @@ class Compressor::Impl {
                 {source, sink},
                 // Validated by ValidateFlowQuery; .value() cannot abort.
                 CanonicalBackendName(options.backend).value());
+    const bool with_lower = options.compute_lower_bound;
+    const ColoringCache::DerivedRequest request{
+        with_lower ? ColoringCache::DerivedKey{kFlowBounds,
+                                               api_internal::DoubleBits(
+                                                   options.uniform_flow_tol)}
+                   : ColoringCache::DerivedKey{kFlowUpper},
+        [&](const Partition& p) {
+          return BuildFlowGraphs(graph_.view(), p, with_lower,
+                                 options.uniform_flow_tol);
+        }};
     const ColoringCache::Handle handle =
-        cache_.Refine(spec, options.max_colors);
+        cache_.Refine(spec, options.max_colors, &request);
     const Partition& p = *handle.partition;
-    const GraphView& g = graph_.view();
+    const FlowGraphs& graphs = DerivedAs<FlowGraphs>(handle);
 
     FlowQueryResult result;
     result.coloring = handle.partition;
     result.num_colors = p.num_colors();
+    result.max_q = handle.max_error;
     result.telemetry = TelemetryFor(handle);
     result.telemetry.graph_version = graph_version_;
 
     WallTimer timer;
     const ColorId source_color = p.ColorOf(source);
     const ColorId sink_color = p.ColorOf(sink);
-
-    // Upper bound: reduced graph with summed capacities (c^2).
-    const Graph reduced = BuildReducedGraph(g, p, ReducedWeight::kSum);
     result.upper_bound =
-        MaxFlowPushRelabel(reduced, source_color, sink_color);
-
-    if (options.compute_lower_bound) {
-      // c^1(i, j) = maxUFlow(P_i, P_j): the largest flow shippable between
-      // the two colors with uniform per-node rates (Theorem 6).
-      std::vector<EdgeTriple> arcs;
-      for (const EdgeTriple& a : reduced.Arcs()) {
-        if (a.src == a.dst) continue;
-        const double c1 = MaxUniformFlow(g, p.Members(a.src), p.Members(a.dst),
-                                         options.uniform_flow_tol);
-        if (c1 > 0.0) {
-          arcs.push_back({a.src, a.dst, c1});
-        }
-      }
-      const Graph lower_graph =
-          Graph::FromEdges(p.num_colors(), arcs, /*undirected=*/false);
+        MaxFlowPushRelabel(graphs.upper, source_color, sink_color);
+    if (with_lower) {
       result.lower_bound =
-          MaxFlowPushRelabel(lower_graph, source_color, sink_color);
+          MaxFlowPushRelabel(graphs.lower, source_color, sink_color);
     }
-    result.telemetry.solve_seconds = timer.ElapsedSeconds();
+    result.telemetry.solve_seconds += timer.ElapsedSeconds();
     return result;
   }
 

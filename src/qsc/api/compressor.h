@@ -5,7 +5,10 @@
 // and a ColoringCache of live anytime refiners, so repeated queries that
 // agree on their ColoringSpec (pins, alpha/beta, split rule, tolerance)
 // share one coloring, and a request for more colors *continues* the cached
-// refinement instead of recomputing — bit-identical to a fresh run.
+// refinement instead of recomputing — bit-identical to a fresh run. What
+// a query derives from a served coloring (reduced graph, pivot scores,
+// reduced LP) is memoized on that snapshot too, so a warm query pays
+// only for its answer.
 //
 // All queries validate their options and return StatusOr; the legacy free
 // functions (ApproximateMaxFlow, ApproximateBetweenness) remain as thin
@@ -116,7 +119,11 @@ struct QueryTelemetry {
   // Witness splits this query performed (0 = pure cache hit).
   int64_t coloring_splits = 0;
   // Incremental wall-clock cost of obtaining the coloring for this query —
-  // near zero on a cache hit — and of the solve that followed.
+  // near zero on a cache hit — and of the solve that followed. The solve
+  // includes building the query's derived artifact (reduced graph, pivot
+  // scores or reduced LP) when this query built it, and only the answer
+  // step (push-relabel, a score copy, or simplex plus lift) when the
+  // artifact was memoized on the served snapshot.
   double coloring_seconds = 0.0;
   double solve_seconds = 0.0;
   // Session graph version this query ran against: 0 for the construction
@@ -142,6 +149,7 @@ struct FlowQueryResult {
   double lower_bound = 0.0;  // c^1 bound; 0 unless compute_lower_bound
   ColorId num_colors = 0;
   std::shared_ptr<const Partition> coloring;
+  double max_q = 0.0;  // max unweighted q-error of `coloring`
   QueryTelemetry telemetry;
 };
 
@@ -160,6 +168,7 @@ struct CentralityQueryResult {
   std::vector<double> scores;  // approximate betweenness per node
   ColorId num_colors = 0;
   std::shared_ptr<const Partition> coloring;
+  double max_q = 0.0;  // max unweighted q-error of `coloring`
   QueryTelemetry telemetry;
 };
 
@@ -202,8 +211,8 @@ class ThreadPool;
 // an unbudgeted one (evicted colorings recompute deterministically).
 struct CompressorOptions {
   // Byte budget for the session's coloring cache (live refiners, served
-  // partition snapshots, and SolveLp's matrix graphs and LP copies);
-  // 0 = unlimited. See
+  // partition snapshots and the artifacts derived from them, and
+  // SolveLp's matrix graphs and LP copies); 0 = unlimited. See
   // ColoringCacheOptions::byte_budget for the eviction contract.
   int64_t coloring_cache_byte_budget = 0;
 };
@@ -270,8 +279,9 @@ class Compressor {
                                     const QueryOptions& options = {});
 
   // Serves each (source, sink) pair; pairs that agree share one coloring
-  // through the cache, so k queries on one pair cost one coloring plus k
-  // reduced solves. Validates every pair before running any query.
+  // and its reduced graph through the cache, so k queries on one pair
+  // cost one coloring, one reduced-graph build and k push-relabel
+  // solves. Validates every pair before running any query.
   // Results are identical to calling MaxFlow in a loop; with a session
   // ThreadPool the pairs fan out over the pool (distinct pairs color
   // concurrently) and only per-query telemetry attribution may differ

@@ -18,6 +18,7 @@
 // Scenario counters are deterministic given the seed; instance
 // construction happens outside the timed closure.
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -26,6 +27,7 @@
 
 #include "qsc/api/compressor.h"
 #include "qsc/bench/scenario.h"
+#include "qsc/centrality/color_pivot.h"
 #include "qsc/flow/approx_flow.h"
 #include "qsc/centrality/brandes.h"
 #include "qsc/coloring/partition.h"
@@ -549,6 +551,77 @@ void RegisterCompressorBatchFlow() {
       }));
 }
 
+// The warm-query claim of the per-snapshot artifacts (docs/API.md "What a
+// warm query costs"): one cold and seven warm Centrality calls on one
+// session over compressor-batch-flow's graph. The cold call colors and
+// runs the pivot passes once; each warm call copies the memoized scores.
+// `abs_diff_vs_cold` pins every served score vector to a direct
+// ColorPivotScores over a fresh coloring.
+constexpr int kWarmCentralityQueries = 8;
+constexpr ColorId kWarmCentralityBudget = 16;
+
+void RegisterCompressorWarmCentrality() {
+  Scenario::Info info;
+  info.name = "pipelines/compressor-warm-centrality";
+  info.group = "pipelines";
+  info.description =
+      "1 cold + 7 warm 16-color Centrality queries served by one Compressor "
+      "session on the 100k-node BA graph (pivot scores built once)";
+  info.smoke = true;
+  ScenarioRegistry::Global().Register(Scenario(
+      std::move(info), [](const BenchContext& ctx) {
+        const Graph g = DirectedBa100k(ctx.seed ^ 0x9a0d);
+        QueryOptions query;
+        query.max_colors = kWarmCentralityBudget;
+
+        double builds = 0.0, hits = 0.0, colors = 0.0;
+        std::vector<std::vector<double>> served(kWarmCentralityQueries);
+        ScenarioResult r;
+        r.timing = MeasureSeconds(ctx.measure, [&] {
+          Compressor session(std::shared_ptr<const Graph>(
+              std::shared_ptr<const Graph>(), &g));
+          for (int i = 0; i < kWarmCentralityQueries; ++i) {
+            StatusOr<CentralityQueryResult> result = session.Centrality(query);
+            QSC_CHECK_OK(result);
+            colors = static_cast<double>(result->num_colors);
+            served[i] = std::move(result->scores);
+          }
+          const CacheStats stats = session.stats().coloring;
+          builds = static_cast<double>(stats.derived_builds);
+          hits = static_cast<double>(stats.derived_hits);
+        });
+
+        // Direct reference, outside the timed closure.
+        RothkoOptions rothko;
+        rothko.max_colors = kWarmCentralityBudget;
+        rothko.alpha = 1.0;
+        rothko.beta = 1.0;
+        const std::vector<double> want =
+            ColorPivotScores(g, RothkoColoring(g, rothko),
+                             query.pivots_per_color, query.seed);
+        double abs_diff = 0.0, score_sum = 0.0;
+        for (const std::vector<double>& scores : served) {
+          QSC_CHECK_EQ(scores.size(), want.size());
+          for (size_t v = 0; v < want.size(); ++v) {
+            abs_diff = std::max(abs_diff, std::abs(scores[v] - want[v]));
+          }
+        }
+        for (const double score : want) score_sum += score;
+
+        r.params = {
+            {"nodes", static_cast<double>(g.num_nodes())},
+            {"arcs", static_cast<double>(g.num_arcs())},
+            {"queries", static_cast<double>(kWarmCentralityQueries)},
+            {"max_colors", static_cast<double>(kWarmCentralityBudget)}};
+        r.counters = {{"derived_builds", builds},
+                      {"derived_hits", hits},
+                      {"num_colors", colors},
+                      {"score_sum", score_sum},
+                      {"abs_diff_vs_cold", abs_diff}};
+        return r;
+      }));
+}
+
 void RegisterCompressorColdFlow() {
   Scenario::Info info;
   info.name = "pipelines/compressor-cold-flow";
@@ -691,6 +764,7 @@ void RegisterBuiltinScenarios() {
     RegisterCompressorBatchFlow();
     RegisterCompressorColdFlow();
     RegisterCompressorParallelFlow();
+    RegisterCompressorWarmCentrality();
     RegisterServingScenarios();
     RegisterFlowScenarios();
     RegisterBackendScenarios();

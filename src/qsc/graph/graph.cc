@@ -320,4 +320,13 @@ std::vector<EdgeTriple> Graph::Arcs() const {
   return arcs;
 }
 
+int64_t Graph::MemoryBytes() const {
+  return static_cast<int64_t>(
+      (out_offsets_.capacity() + in_offsets_.capacity()) * sizeof(int64_t) +
+      (out_dst_.capacity() + in_src_.capacity()) * sizeof(NodeId) +
+      (out_w_.capacity() + in_w_.capacity() + out_weight_.capacity() +
+       in_weight_.capacity()) *
+          sizeof(double));
+}
+
 }  // namespace qsc

@@ -238,6 +238,10 @@ class Graph {
   // Materializes all stored arcs (src, dst, weight).
   std::vector<EdgeTriple> Arcs() const;
 
+  // Heap bytes of the two CSRs and the weight caches (for the byte
+  // accounting of caches that hold graphs).
+  int64_t MemoryBytes() const;
+
   // In-place single-edge mutators (the dynamic-graph substrate,
   // docs/DYNAMIC.md). On an undirected graph each call addresses the
   // logical edge {u,v} and keeps both stored arcs in sync. A mutated

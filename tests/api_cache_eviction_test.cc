@@ -16,13 +16,16 @@
 
 #include "qsc/api/coloring_cache.h"
 #include "qsc/api/compressor.h"
+#include "qsc/centrality/color_pivot.h"
 #include "qsc/coloring/partition.h"
 #include "qsc/coloring/rothko.h"
+#include "qsc/flow/approx_flow.h"
 #include "qsc/graph/graph.h"
 #include "qsc/graph/graph_store.h"
 #include "qsc/lp/generators.h"
 #include "qsc/lp/model.h"
 #include "qsc/lp/reduce.h"
+#include "qsc/lp/simplex.h"
 #include "rothko_corpus.h"
 
 namespace qsc {
@@ -289,6 +292,218 @@ TEST(CacheEvictionTest, LpSpecKeepsItsOwnCopyOfALentLp) {
   EXPECT_EQ(got.row_color, want.row_color);
   EXPECT_EQ(got.col_color, want.col_color);
   EXPECT_EQ(hit.max_error, want.max_q);
+}
+
+// --- derived artifacts ----------------------------------------------------
+//
+// The reduced graphs, pivot scores and reduced LPs a session memoizes on
+// its snapshots are counted in the byte budget and evicted with their
+// entry. Each is a pure function of its snapshot, so evicting or dropping
+// one cannot change an answer.
+
+enum class ArtifactCall {
+  kFlow,
+  kFlowLower,
+  kBatch,
+  kCentralityA,
+  kCentralityB,
+  kLpSqrt,
+  kLpGrohe,
+};
+
+// The first four calls fill the cache; the rest add new artifacts and
+// repeat the first ones, so a budget sized after call 4 evicts midway.
+const std::vector<ArtifactCall>& ArtifactSequence() {
+  using C = ArtifactCall;
+  static const std::vector<C> sequence = {
+      C::kFlow,      C::kCentralityA, C::kLpSqrt,      C::kFlow,
+      C::kFlowLower, C::kBatch,       C::kCentralityB, C::kLpGrohe,
+      C::kCentralityA, C::kLpSqrt,    C::kFlow,        C::kBatch,
+      C::kFlowLower, C::kCentralityB, C::kLpGrohe};
+  return sequence;
+}
+constexpr int kArtifactPrefix = 4;
+
+constexpr ColorId kArtifactBudget = 12;
+constexpr double kLowerTol = 1e-4;
+const std::vector<std::pair<NodeId, NodeId>> kArtifactPairs = {
+    {0, 59}, {1, 58}, {0, 59}, {1, 58}};
+
+// Derived-artifact requests one call makes (a batch makes one per pair).
+int64_t ArtifactRequests(ArtifactCall call) {
+  return call == ArtifactCall::kBatch
+             ? static_cast<int64_t>(kArtifactPairs.size())
+             : 1;
+}
+
+QueryOptions ArtifactQuery(ArtifactCall call) {
+  QueryOptions query;
+  query.max_colors = kArtifactBudget;
+  query.compute_lower_bound = call == ArtifactCall::kFlowLower;
+  query.uniform_flow_tol = kLowerTol;
+  query.seed = call == ArtifactCall::kCentralityB ? 23 : 17;
+  query.lp_variant = call == ArtifactCall::kLpGrohe
+                         ? LpReduction::kGrohe
+                         : LpReduction::kSqrtNormalized;
+  return query;
+}
+
+// Everything a call answers, flattened for a bitwise comparison.
+std::vector<double> SessionAnswer(Compressor& session, const LpProblem& lp,
+                                  ArtifactCall call) {
+  const QueryOptions query = ArtifactQuery(call);
+  std::vector<double> answer;
+  switch (call) {
+    case ArtifactCall::kFlow:
+    case ArtifactCall::kFlowLower: {
+      const auto flow = session.MaxFlow(0, 59, query);
+      QSC_CHECK_OK(flow);
+      answer = {flow->upper_bound, flow->lower_bound, flow->max_q};
+      break;
+    }
+    case ArtifactCall::kBatch: {
+      const auto batch = session.MaxFlowBatch(kArtifactPairs, query);
+      QSC_CHECK_OK(batch);
+      for (const FlowQueryResult& flow : *batch) {
+        answer.push_back(flow.upper_bound);
+      }
+      break;
+    }
+    case ArtifactCall::kCentralityA:
+    case ArtifactCall::kCentralityB: {
+      const auto centrality = session.Centrality(query);
+      QSC_CHECK_OK(centrality);
+      answer = centrality->scores;
+      break;
+    }
+    case ArtifactCall::kLpSqrt:
+    case ArtifactCall::kLpGrohe: {
+      const auto solved = session.SolveLp(lp, query);
+      QSC_CHECK_OK(solved);
+      answer = solved->reduced.lp.c;
+      answer.push_back(solved->solution.objective);
+      answer.insert(answer.end(), solved->lifted_x.begin(),
+                    solved->lifted_x.end());
+      break;
+    }
+  }
+  return answer;
+}
+
+// The same answer from the layer functions, with no session.
+std::vector<double> DirectAnswer(const Graph& g, const LpProblem& lp,
+                                 ArtifactCall call) {
+  const QueryOptions query = ArtifactQuery(call);
+  std::vector<double> answer;
+  switch (call) {
+    case ArtifactCall::kFlow:
+    case ArtifactCall::kFlowLower: {
+      FlowApproxOptions options;
+      options.rothko.max_colors = kArtifactBudget;
+      options.compute_lower_bound = query.compute_lower_bound;
+      options.uniform_flow_tol = kLowerTol;
+      const FlowApproxResult flow = ApproximateMaxFlow(g, 0, 59, options);
+      RothkoRefiner refiner(
+          g, InitialPartition(SpecWithPins(options.rothko.split_mean, {0, 59}),
+                              g.num_nodes()),
+          options.rothko);
+      refiner.Run();
+      answer = {flow.upper_bound, flow.lower_bound, refiner.CurrentMaxError()};
+      break;
+    }
+    case ArtifactCall::kBatch: {
+      FlowApproxOptions options;
+      options.rothko.max_colors = kArtifactBudget;
+      for (const auto& [s, t] : kArtifactPairs) {
+        answer.push_back(ApproximateMaxFlow(g, s, t, options).upper_bound);
+      }
+      break;
+    }
+    case ArtifactCall::kCentralityA:
+    case ArtifactCall::kCentralityB: {
+      ColorPivotOptions options;
+      options.rothko.max_colors = kArtifactBudget;
+      options.seed = query.seed;
+      answer = ApproximateBetweenness(g, options).scores;
+      break;
+    }
+    case ArtifactCall::kLpSqrt:
+    case ArtifactCall::kLpGrohe: {
+      LpReduceOptions options;
+      options.max_colors = kArtifactBudget;
+      options.variant = query.lp_variant;
+      const ReducedLp reduced = ReduceLp(lp, options);
+      const LpResult solution = SolveSimplex(reduced.lp);
+      answer = reduced.lp.c;
+      answer.push_back(solution.objective);
+      if (solution.status == LpStatus::kOptimal) {
+        const std::vector<double> lifted = LiftSolution(reduced, solution.x);
+        answer.insert(answer.end(), lifted.begin(), lifted.end());
+      }
+      break;
+    }
+  }
+  return answer;
+}
+
+TEST(CacheEvictionTest, EvictingDerivedArtifactsNeverChangesAnAnswer) {
+  const Graph g = CorpusGraph(9, /*directed=*/true);
+  const LpProblem lp = MakeQapLikeLp(6, 3);
+  const std::vector<ArtifactCall>& calls = ArtifactSequence();
+
+  std::vector<std::vector<double>> direct;
+  for (const ArtifactCall call : calls) {
+    direct.push_back(DirectAnswer(g, lp, call));
+  }
+
+  // Unbudgeted: the reference answers and the footprint after each call.
+  Compressor unbudgeted{Graph(g)};
+  std::vector<int64_t> bytes_after;
+  int64_t requests = 0;
+  for (size_t i = 0; i < calls.size(); ++i) {
+    SCOPED_TRACE("unbudgeted call " + std::to_string(i));
+    EXPECT_EQ(SessionAnswer(unbudgeted, lp, calls[i]), direct[i]);
+    bytes_after.push_back(unbudgeted.stats().coloring.bytes_in_use);
+    requests += ArtifactRequests(calls[i]);
+  }
+  // The first Centrality memoizes one score per node on its snapshot.
+  ASSERT_EQ(calls[1], ArtifactCall::kCentralityA);
+  EXPECT_GE(bytes_after[1] - bytes_after[0],
+            static_cast<int64_t>(g.num_nodes() * sizeof(double)));
+  // One build per (snapshot, key): each spec serves one snapshot at the
+  // fixed budget; the flow spec of (0, 59) holds the c^2 and the
+  // lower-bound artifacts, (1, 58) its c^2 one, the centrality spec two
+  // seeds and the LP spec two variants.
+  const CacheStats reference = unbudgeted.stats().coloring;
+  EXPECT_EQ(reference.evictions, 0);
+  EXPECT_EQ(reference.derived_builds, 7);
+  EXPECT_EQ(reference.derived_builds + reference.derived_hits, requests);
+
+  const int64_t midway = bytes_after[kArtifactPrefix - 1];
+  for (const int64_t budget : {int64_t{1}, midway}) {
+    SCOPED_TRACE("byte budget " + std::to_string(budget));
+    CompressorOptions options;
+    options.coloring_cache_byte_budget = budget;
+    Compressor budgeted(Graph(g), /*pool=*/nullptr, options);
+    for (size_t i = 0; i < calls.size(); ++i) {
+      SCOPED_TRACE("call " + std::to_string(i));
+      EXPECT_EQ(SessionAnswer(budgeted, lp, calls[i]), direct[i]);
+      const CacheStats stats = budgeted.stats().coloring;
+      EXPECT_LE(stats.bytes_in_use, budget);
+      if (budget == midway && i + 1 == kArtifactPrefix) {
+        EXPECT_EQ(stats.evictions, 0);
+      }
+    }
+    const CacheStats stats = budgeted.stats().coloring;
+    EXPECT_GT(stats.evictions, 0);
+    EXPECT_EQ(stats.derived_builds + stats.derived_hits, requests);
+    EXPECT_GT(stats.derived_builds, reference.derived_builds);
+    if (budget == 1) {
+      // Nothing survives a call, so every request builds.
+      EXPECT_EQ(stats.derived_hits, 0);
+      EXPECT_EQ(stats.bytes_in_use, 0);
+    }
+  }
 }
 
 }  // namespace

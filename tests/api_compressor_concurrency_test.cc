@@ -444,5 +444,104 @@ TEST(CompressorConcurrencyTest, ConcurrentDistinctBackendsMatchOracle) {
             static_cast<int64_t>(budgets.size()) * kThreads);
 }
 
+// Derived artifacts under concurrency: threads mix repeated-pair
+// MaxFlowBatch, Centrality at two seeds and SolveLp in both variants,
+// all at one budget so each spec serves one snapshot. Every answer must
+// equal the single-threaded oracle's, and since artifacts are built under
+// their entry's lock, each (snapshot, key) is built exactly once however
+// the requests interleave.
+TEST(CompressorConcurrencyTest, MixedDerivedArtifactsMatchOracleAndBuildOnce) {
+  const Graph g = StressGraph();
+  const NodeId n = g.num_nodes();
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {
+      {0, n - 1}, {1, n - 2}, {0, n - 1}, {1, n - 2}, {0, n - 1}};
+  BlockLpSpec lp_spec;
+  lp_spec.num_row_groups = 4;
+  lp_spec.num_col_groups = 4;
+  lp_spec.rows_per_group = 6;
+  lp_spec.cols_per_group = 6;
+  lp_spec.seed = 13;
+  const LpProblem lp = MakeBlockLp(lp_spec);
+
+  // Query q of thread t is of kind q % 3; its pivot seed and LP variant
+  // follow the parity of t + q, so both of each are served.
+  const auto options_for = [](int thread_id, int q) {
+    QueryOptions options;
+    options.max_colors = 16;
+    options.seed = (thread_id + q) % 2 == 0 ? 17 : 29;
+    options.lp_variant = (thread_id + q) % 2 == 0
+                             ? LpReduction::kSqrtNormalized
+                             : LpReduction::kGrohe;
+    return options;
+  };
+  const auto run = [&](Compressor& session, int thread_id, int q) {
+    const QueryOptions options = options_for(thread_id, q);
+    std::vector<double> answer;
+    switch (q % 3) {
+      case 0: {
+        const auto batch = session.MaxFlowBatch(pairs, options);
+        QSC_CHECK_OK(batch);
+        for (const FlowQueryResult& flow : *batch) {
+          answer.push_back(flow.upper_bound);
+          answer.push_back(flow.max_q);
+        }
+        break;
+      }
+      case 1: {
+        const auto centrality = session.Centrality(options);
+        QSC_CHECK_OK(centrality);
+        answer = centrality->scores;
+        break;
+      }
+      default: {
+        const auto solved = session.SolveLp(lp, options);
+        QSC_CHECK_OK(solved);
+        answer = solved->lifted_x;
+        answer.push_back(solved->solution.objective);
+        break;
+      }
+    }
+    return answer;
+  };
+
+  constexpr int kThreads = 6;
+  constexpr int kQueries = 6;
+  ThreadPool pool(2);
+  Compressor session(
+      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g), &pool);
+  std::vector<std::vector<std::vector<double>>> answers(kThreads);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int q = 0; q < kQueries; ++q) {
+          answers[t].push_back(run(session, t, q));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+
+  Compressor oracle(
+      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
+  for (int t = 0; t < kThreads; ++t) {
+    for (int q = 0; q < kQueries; ++q) {
+      EXPECT_EQ(answers[t][q], run(oracle, t, q))
+          << "thread " << t << " query " << q;
+    }
+  }
+
+  // Distinct (snapshot, key) pairs: the c^2 graphs of two terminal pairs,
+  // two pivot seeds and two LP variants.
+  const CacheStats stats = session.stats().coloring;
+  EXPECT_EQ(stats.derived_builds, 6);
+  const int64_t batches = kThreads * kQueries / 3;
+  const int64_t requests =
+      batches * static_cast<int64_t>(pairs.size()) + 2 * batches;
+  EXPECT_EQ(stats.derived_builds + stats.derived_hits, requests);
+  EXPECT_EQ(stats.hits + stats.misses + stats.recolorings, stats.lookups);
+}
+
 }  // namespace
 }  // namespace qsc

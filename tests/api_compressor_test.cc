@@ -5,6 +5,8 @@
 #include "qsc/api/compressor.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -29,6 +31,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+uint64_t DoubleBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
 
 FlowInstance TestInstance(uint64_t seed = 1) {
   Rng rng(seed);
@@ -894,6 +902,168 @@ TEST(CompressorTest, ApplyEditsRepairsToleranceBoundedSpecsOnly) {
   EXPECT_EQ(stats.edits_applied, 10);
   EXPECT_EQ(stats.repairs, 1);
   EXPECT_EQ(stats.fallbacks, 1);
+}
+
+// --- derived artifacts ----------------------------------------------------
+
+TEST(CompressorTest, MaxFlowReportsItsColoringsMaxQ) {
+  FlowInstance instance = TestInstance(13);
+  Compressor flows{Graph(instance.graph)};
+  Compressor colorings(std::move(instance.graph));
+  QueryOptions query;
+  query.max_colors = 14;
+  const auto flow = flows.MaxFlow(instance.source, instance.sink, query);
+  query.pinned = {instance.source, instance.sink};
+  const auto coloring = colorings.Coloring(query);
+  ASSERT_TRUE(flow.ok());
+  ASSERT_TRUE(coloring.ok());
+  EXPECT_GT(flow->max_q, 0.0);
+  EXPECT_EQ(DoubleBits(flow->max_q), DoubleBits(coloring->max_q));
+  EXPECT_TRUE(*flow->coloring == *coloring->coloring);
+}
+
+TEST(CompressorTest, CentralityReportsItsColoringsMaxQ) {
+  Graph g = TestGraph(31);
+  Compressor centralities{Graph(g)};
+  Compressor colorings(std::move(g));
+  QueryOptions query;
+  query.max_colors = 18;
+  query.pinned = {4, 2};
+  const auto centrality = centralities.Centrality(query);
+  // Centrality's area default is alpha = beta = 1; Coloring's is 0.
+  query.alpha = 1.0;
+  query.beta = 1.0;
+  const auto coloring = colorings.Coloring(query);
+  ASSERT_TRUE(centrality.ok());
+  ASSERT_TRUE(coloring.ok());
+  EXPECT_GT(centrality->max_q, 0.0);
+  EXPECT_EQ(DoubleBits(centrality->max_q), DoubleBits(coloring->max_q));
+  EXPECT_TRUE(*centrality->coloring == *coloring->coloring);
+}
+
+// A warm query answers from the artifact memoized on its snapshot: one
+// build per (snapshot, key), every repeat a derived hit with the same
+// answer.
+TEST(CompressorTest, WarmQueriesReuseTheirDerivedArtifacts) {
+  FlowInstance instance = TestInstance(17);
+  const NodeId s = instance.source;
+  const NodeId t = instance.sink;
+  Compressor session(std::move(instance.graph));
+  QueryOptions query;
+  query.max_colors = 12;
+
+  const auto cold = session.MaxFlow(s, t, query);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(session.stats().coloring.derived_builds, 1);
+  const auto batch = session.MaxFlowBatch({{s, t}, {s, t}, {s, t}}, query);
+  ASSERT_TRUE(batch.ok());
+  for (const FlowQueryResult& warm : *batch) {
+    EXPECT_EQ(warm.upper_bound, cold->upper_bound);
+    EXPECT_EQ(warm.coloring.get(), cold->coloring.get());
+  }
+  CacheStats stats = session.stats().coloring;
+  EXPECT_EQ(stats.derived_builds, 1);  // the batch built nothing
+  EXPECT_EQ(stats.derived_hits, 3);
+
+  // The lower-bound graph is its own artifact, keyed by the tolerance.
+  query.compute_lower_bound = true;
+  const auto bounds = session.MaxFlow(s, t, query);
+  query.uniform_flow_tol = 1e-3;
+  const auto coarse = session.MaxFlow(s, t, query);
+  const auto coarse_again = session.MaxFlow(s, t, query);
+  ASSERT_TRUE(bounds.ok());
+  ASSERT_TRUE(coarse.ok());
+  ASSERT_TRUE(coarse_again.ok());
+  EXPECT_EQ(bounds->upper_bound, cold->upper_bound);
+  EXPECT_EQ(coarse_again->lower_bound, coarse->lower_bound);
+  stats = session.stats().coloring;
+  EXPECT_EQ(stats.derived_builds, 3);
+  EXPECT_EQ(stats.derived_hits, 4);
+  EXPECT_EQ(stats.lookups, 7);
+}
+
+TEST(CompressorTest, WarmCentralityAndSolveLpMatchTheirColdAnswers) {
+  Graph g = TestGraph(37);
+  const Graph copy = g;
+  Compressor session(std::move(g));
+  QueryOptions query;
+  query.max_colors = 20;
+  const auto first = session.Centrality(query);
+  const auto again = session.Centrality(query);
+  query.seed = 5;
+  const auto reseeded = session.Centrality(query);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE(reseeded.ok());
+  EXPECT_EQ(again->scores, first->scores);
+  EXPECT_EQ(reseeded->scores,
+            ColorPivotScores(copy, *first->coloring, 1, 5));
+  EXPECT_NE(reseeded->scores, first->scores);
+
+  const LpProblem lp = MakeQapLikeLp(6, 3);
+  QueryOptions lp_query;
+  lp_query.max_colors = 16;
+  const auto lp_first = session.SolveLp(lp, lp_query);
+  const auto lp_again = session.SolveLp(lp, lp_query);
+  ASSERT_TRUE(lp_first.ok());
+  ASSERT_TRUE(lp_again.ok());
+  ExpectSameReducedLp(lp_again->reduced, lp_first->reduced);
+  EXPECT_EQ(lp_again->reduced.max_q, lp_first->reduced.max_q);
+  EXPECT_EQ(lp_again->lifted_x, lp_first->lifted_x);
+
+  const CacheStats stats = session.stats().coloring;
+  EXPECT_EQ(stats.derived_builds, 3);  // seed 17, seed 5, the reduced LP
+  EXPECT_EQ(stats.derived_hits, 2);
+}
+
+// Edits drop every snapshot of the old graph, and its artifacts with it:
+// a repeated query rebuilds on the mutated graph and answers exactly as a
+// fresh session there. LP entries ignore edits, so a warm SolveLp stays a
+// derived hit.
+TEST(CompressorTest, EditsRebuildGraphArtifactsButNotLpArtifacts) {
+  FlowInstance instance = TestInstance(19);
+  const NodeId s = instance.source;
+  const NodeId t = instance.sink;
+  Compressor session{Graph(instance.graph)};
+  const LpProblem lp = MakeQapLikeLp(6, 3);
+  QueryOptions query;
+  query.max_colors = 12;
+  QueryOptions lp_query;
+  lp_query.max_colors = 16;
+  for (int round = 0; round < 2; ++round) {
+    QSC_CHECK_OK(session.MaxFlow(s, t, query));
+    QSC_CHECK_OK(session.Centrality(query));
+    QSC_CHECK_OK(session.SolveLp(lp, lp_query));
+  }
+  const CacheStats before = session.stats().coloring;
+  EXPECT_EQ(before.derived_builds, 3);
+  EXPECT_EQ(before.derived_hits, 3);
+
+  const StatusOr<std::vector<dynamic::EditOp>> edits = dynamic::GenerateEdits(
+      instance.graph, dynamic::EditKind::kInsertEdge, 12, 43);
+  QSC_CHECK_OK(edits);
+  QSC_CHECK_OK(session.ApplyEdits(*edits));
+  StatusOr<Graph> mutated = dynamic::ApplyEditBatch(instance.graph, *edits);
+  QSC_CHECK_OK(mutated);
+  Compressor fresh(std::move(mutated).value());
+
+  const auto flow = session.MaxFlow(s, t, query);
+  const auto want_flow = fresh.MaxFlow(s, t, query);
+  const auto scores = session.Centrality(query);
+  const auto want_scores = fresh.Centrality(query);
+  const auto solved = session.SolveLp(lp, lp_query);
+  ASSERT_TRUE(flow.ok());
+  ASSERT_TRUE(want_flow.ok());
+  ASSERT_TRUE(scores.ok());
+  ASSERT_TRUE(want_scores.ok());
+  ASSERT_TRUE(solved.ok());
+  EXPECT_EQ(flow->upper_bound, want_flow->upper_bound);
+  EXPECT_TRUE(*flow->coloring == *want_flow->coloring);
+  EXPECT_EQ(scores->scores, want_scores->scores);
+
+  const CacheStats after = session.stats().coloring;
+  EXPECT_EQ(after.derived_builds, before.derived_builds + 2);
+  EXPECT_EQ(after.derived_hits, before.derived_hits + 1);  // the SolveLp
 }
 
 }  // namespace
