@@ -17,6 +17,19 @@ namespace qsc {
 namespace bench {
 
 double PeakRssMib() {
+#if defined(__linux__)
+  // VmHWM: the kernel's resident high-water mark, in kB. Read-only; the
+  // mark is never reset.
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long kib = -1;
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %ld kB", &kib) == 1) break;
+    }
+    std::fclose(f);
+    if (kib >= 0) return static_cast<double>(kib) / 1024.0;
+  }
+#endif
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage usage;
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
@@ -61,7 +74,6 @@ Measurement MeasureSeconds(const MeasureOptions& options,
   }
   Measurement m;
   m.seconds = Summarize(std::move(samples));
-  m.peak_rss_mib = PeakRssMib();
   return m;
 }
 

@@ -24,10 +24,10 @@ struct MeasureOptions {
 
 struct Measurement {
   SampleStats seconds;  // per-repeat wall-clock seconds (steady clock)
-  // Process peak resident-set size sampled after the last repeat, in MiB.
-  // A high-water mark (the OS never lowers it), so it is informational:
-  // attributable to a scenario only when scenarios run largest-last or in
-  // separate processes. 0 when the platform offers no getrusage.
+  // Growth of the process resident high-water mark across the whole
+  // scenario (setup included), in MiB; filled in by Scenario::Run. 0 when
+  // the scenario stayed under an earlier scenario's peak, or when the
+  // platform reports no peak.
   double peak_rss_mib = 0.0;
 };
 
@@ -35,9 +35,10 @@ struct Measurement {
 Measurement MeasureSeconds(const MeasureOptions& options,
                            const std::function<void()>& fn);
 
-// Current process peak RSS in MiB; 0 when unavailable. A high-water
-// mark: the OS never lowers it, so deltas across a scenario only show
-// growth past the previous maximum.
+// Current process peak RSS in MiB (VmHWM on Linux, getrusage's ru_maxrss
+// elsewhere); 0 when unavailable. A high-water mark: the OS never lowers
+// it, so deltas across a scenario only show growth past the previous
+// maximum.
 double PeakRssMib();
 
 // Current (not peak) resident-set size in MiB from /proc/self/statm;

@@ -8,7 +8,9 @@ namespace qsc {
 namespace bench {
 
 ScenarioResult Scenario::Run(const BenchContext& context) const {
+  const double peak_before = PeakRssMib();
   ScenarioResult result = run_(context);
+  result.timing.peak_rss_mib = std::max(0.0, PeakRssMib() - peak_before);
   result.name = info_.name;
   result.group = info_.group;
   return result;

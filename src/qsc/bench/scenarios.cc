@@ -83,7 +83,7 @@ void RegisterRothko(const char* name, bool smoke, const char* description,
         options.split_mean = split_mean;
         if (parallel) options.pool = DefaultPool();
         ColorId num_colors = 0;
-        double splits = 0.0, max_q = 0.0;
+        double splits = 0.0, max_q = 0.0, refiner_bytes = 0.0;
         ScenarioResult r;
         r.timing = MeasureSeconds(ctx.measure, [&] {
           RothkoRefiner refiner(g, Partition::Trivial(g.num_nodes()),
@@ -92,6 +92,7 @@ void RegisterRothko(const char* name, bool smoke, const char* description,
           num_colors = refiner.partition().num_colors();
           splits = static_cast<double>(refiner.history().size());
           max_q = refiner.CurrentMaxError();
+          refiner_bytes = static_cast<double>(refiner.MemoryBytes());
         });
         r.params = {{"nodes", static_cast<double>(g.num_nodes())},
                     {"arcs", static_cast<double>(g.num_arcs())},
@@ -99,6 +100,7 @@ void RegisterRothko(const char* name, bool smoke, const char* description,
         r.counters = {{"num_colors", static_cast<double>(num_colors)},
                       {"splits", splits},
                       {"max_q", max_q}};
+        r.gauges = {{"refiner_mib", refiner_bytes / (1024.0 * 1024.0)}};
         return r;
       }));
 }
@@ -115,6 +117,15 @@ Graph Ba200k(uint64_t seed) {
   Rng rng(seed);
   return BarabasiAlbert(200000, 3, rng);
 }
+// servebench's graph shape: a BA graph stored as a directed graph (both
+// arcs of every edge), so the refiner keeps in-degree rows too.
+Graph DirectedBa(NodeId nodes, uint64_t seed) {
+  Rng rng(seed);
+  const Graph ba = BarabasiAlbert(nodes, 3, rng);
+  return Graph::FromArcs(ba.num_nodes(), ba.Arcs(), /*undirected=*/false);
+}
+Graph DirectedBa10k(uint64_t seed) { return DirectedBa(10000, seed); }
+Graph DirectedBa100k(uint64_t seed) { return DirectedBa(100000, seed); }
 Graph Er10k(uint64_t seed) {
   Rng rng(seed);
   return ErdosRenyiGnm(10000, 40000, rng);
@@ -166,6 +177,16 @@ void RegisterColoringScenarios() {
   RegisterRothko("coloring/rothko-ba-100k-c256-geo", /*smoke=*/false,
                  "geometric split-mean variant of the headline scenario",
                  &Ba100k, 0x9a02, 256, RothkoOptions::SplitMean::kGeometric);
+  RegisterRothko("coloring/rothko-directed-ba-100k-c64", /*smoke=*/true,
+                 "Rothko to 64 colors on servebench's directed 100k-node BA "
+                 "graph (out- and in-degree rows)",
+                 &DirectedBa100k, 0x9a30, 64);
+  RegisterRothko("coloring/rothko-directed-parallel-ba-10k", /*smoke=*/false,
+                 "TSan-sized parallel refinement of a directed BA graph: "
+                 "both directions' row builds fan out over the pool (the "
+                 "CI sanitizer jobs drive this by name)",
+                 &DirectedBa10k, 0x9a31, 64,
+                 RothkoOptions::SplitMean::kArithmetic, /*parallel=*/true);
   RegisterRothko("coloring/rothko-er-10k-c64", /*smoke=*/true,
                  "Rothko to 64 colors on a G(10k, 40k) Erdos-Renyi graph",
                  &Er10k, 0x9a04, 64);
@@ -489,14 +510,8 @@ void RegisterSolverKernels() {
 constexpr int kBatchFlowQueries = 16;
 constexpr ColorId kBatchFlowBudget = 64;
 
-// The 100k-node BA scenario graph, materialized as a directed graph
-// (capacity in both directions) so max-flow terminals can be pinned.
-Graph DirectedBa100k(uint64_t seed) {
-  Rng rng(seed);
-  const Graph ba = BarabasiAlbert(100000, 3, rng);
-  return Graph::FromArcs(ba.num_nodes(), ba.Arcs(), /*undirected=*/false);
-}
-
+// The Compressor scenarios below run on DirectedBa100k (capacity in both
+// directions), so max-flow terminals can be pinned.
 void RegisterCompressorBatchFlow() {
   Scenario::Info info;
   info.name = "pipelines/compressor-batch-flow";

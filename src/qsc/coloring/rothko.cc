@@ -18,6 +18,11 @@ namespace {
 constexpr int64_t kMinParallelMembers = 4096;
 constexpr int64_t kMemberGrain = 2048;
 
+// Row moves per prefetch chunk, and how many moves ahead a row's entries
+// are prefetched (MoveEjectedRows).
+constexpr size_t kMoveChunk = 256;
+constexpr size_t kRowLead = 16;
+
 }  // namespace
 
 class RothkoRefiner::Impl {
@@ -76,6 +81,20 @@ class RothkoRefiner::Impl {
 
   const std::vector<RothkoStep>& history() const { return history_; }
 
+  FlatRowStats DegreeRowStats() const {
+    FlatRowStats total = out_deg_.stats();
+    if (!directed_) return total;
+    const FlatRowStats in = in_deg_.stats();
+    total.live += in.live;
+    total.dead += in.dead;
+    total.used += in.used;
+    total.arena_capacity += in.arena_capacity;
+    total.header_capacity += in.header_capacity;
+    total.relocations += in.relocations;
+    total.compactions += in.compactions;
+    return total;
+  }
+
   int64_t MemoryBytes() const {
     int64_t bytes = static_cast<int64_t>(sizeof(Impl));
     bytes += partition_.MemoryBytes();
@@ -97,6 +116,7 @@ class RothkoRefiner::Impl {
         split_values_.capacity() * sizeof(double) +
         eject_.capacity() * sizeof(NodeId) +
         affected_scratch_.capacity() * sizeof(ColorId) +
+        moves_.capacity() * sizeof(NeighborEntry) +
         score_scratch_.capacity() * sizeof(SplitPairScore) +
         history_.capacity() * sizeof(RothkoStep));
     return bytes;
@@ -151,18 +171,29 @@ class RothkoRefiner::Impl {
     return &it->agg;
   }
 
+  // Row u of out_deg_ receives u's out-arcs in CSR order, and row v of
+  // in_deg_ receives its in-arcs in the order of the reference's single
+  // pass over the out-CSR: ascending source, then arc order. Both
+  // GraphView constructions list InNeighbors(v) in exactly that order (an
+  // owning Graph sorts arcs by (src, dst) and edits insert in place; a
+  // mapped view counting-sorts the out-CSR), so every row builds on its
+  // own and each direction's build fans out over the pool.
   void BuildDegreeRows() {
     const NodeId n = graph_.num_nodes();
-    out_deg_.Reset(n);
-    if (directed_) in_deg_.Reset(n);
-    for (NodeId u = 0; u < n; ++u) {
+    out_deg_.Build(n, options_.pool, [this](NodeId u, auto emit) {
       for (const NeighborEntry& e : graph_.OutNeighbors(u)) {
-        out_deg_.Add(u, partition_.ColorOf(e.node), e.weight);
-        if (directed_) {
-          in_deg_.Add(e.node, partition_.ColorOf(u), e.weight);
-        }
+        emit(partition_.ColorOf(e.node), e.weight);
       }
-    }
+    });
+    if (!directed_) return;
+    in_deg_.Build(n, options_.pool, [this](NodeId v, auto emit) {
+      [[maybe_unused]] NodeId prev = 0;
+      for (const NeighborEntry& e : graph_.InNeighbors(v)) {
+        QSC_DCHECK(e.node >= prev);
+        prev = e.node;
+        emit(partition_.ColorOf(e.node), e.weight);
+      }
+    });
   }
 
   void GrowScratch() {
@@ -213,11 +244,12 @@ class RothkoRefiner::Impl {
                      bool source_side, uint8_t direction) {
     agg_scratch_.NewEpoch();
     for (NodeId v : partition_.Members(c)) {
-      for (const RowEntry& e : deg.RowOf(v)) {
+      const FlatWeightRows::RowView row = deg.RowOf(v);
+      for (size_t i = 0; i < row.size(); ++i) {
         bool fresh;
         // A fresh slot is value-initialized (count 0), which MergeWeight
         // treats as the first sample.
-        MergeWeight(agg_scratch_.Slot(e.key, &fresh), e.weight);
+        MergeWeight(agg_scratch_.Slot(row.key(i), &fresh), row.weight(i));
       }
     }
     sorted_keys_.assign(agg_scratch_.touched().begin(),
@@ -304,13 +336,14 @@ class RothkoRefiner::Impl {
     QSC_DCHECK(new_key + 1 == partition_.num_colors());
     SplitPairScore score;
     for (NodeId v : partition_.Members(c)) {
-      const FlatWeightRows::Row& row = deg.RowOf(v);
+      const FlatWeightRows::RowView row = deg.RowOf(v);
       if (row.empty()) continue;
-      if (row.back().key == new_key) {
-        MergeWeight(score.new_agg, row.back().weight);
+      const size_t last = row.size() - 1;
+      if (row.key(last) == new_key) {
+        MergeWeight(score.new_agg, row.weight(last));
       }
-      const RowEntry* e = deg.Find(v, split_key);
-      if (e != nullptr) MergeWeight(score.split_agg, e->weight);
+      const double* w = row.Find(split_key);
+      if (w != nullptr) MergeWeight(score.split_agg, *w);
     }
     return score;
   }
@@ -368,6 +401,39 @@ class RothkoRefiner::Impl {
       heap.pop();
     }
     return false;
+  }
+
+  // Moves, for every ejected node v (eject_ order) and every arc between v
+  // and a neighbor u (adjacency order), that arc's weight in row u of `deg`
+  // from `from` to `to`, and touches u's color in `affected`. `in_arcs`
+  // walks v's in-arcs (the out-degree rows of their sources), otherwise its
+  // out-arcs. The moves run in a fixed order in chunks: filling a chunk
+  // prefetches the row headers, and each move prefetches the row a few
+  // moves ahead, so the random row accesses overlap.
+  void MoveEjectedRows(bool in_arcs, ColorId from, ColorId to,
+                       FlatWeightRows& deg, EpochScratch<char>& affected) {
+    const auto flush = [&] {
+      const size_t n = moves_.size();
+      for (size_t i = 0; i < std::min(n, kRowLead); ++i) {
+        deg.PrefetchRow(moves_[i].node);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (i + kRowLead < n) deg.PrefetchRow(moves_[i + kRowLead].node);
+        deg.Move(moves_[i].node, from, to, moves_[i].weight);
+        affected.Touch(partition_.ColorOf(moves_[i].node));
+      }
+      moves_.clear();
+    };
+    affected.NewEpoch();
+    for (const NodeId v : eject_) {
+      for (const NeighborEntry& e :
+           in_arcs ? graph_.InNeighbors(v) : graph_.OutNeighbors(v)) {
+        deg.PrefetchHeader(e.node);
+        moves_.push_back(e);
+        if (moves_.size() == kMoveChunk) flush();
+      }
+    }
+    flush();
   }
 
   void ApplySplit(const HeapEntry& witness) {
@@ -453,21 +519,11 @@ class RothkoRefiner::Impl {
 
     // Update the neighbors' degree rows and note which colors hold nodes
     // whose witness degrees changed.
-    out_affected_.NewEpoch();  // colors with changed out-degrees to split
-    if (directed_) in_affected_.NewEpoch();  // ... in-degrees from split
-    for (NodeId v : eject) {
-      for (const NeighborEntry& e : graph_.InNeighbors(v)) {
-        out_deg_.Subtract(e.node, split_color, e.weight);
-        out_deg_.Add(e.node, new_color, e.weight);
-        out_affected_.Touch(partition_.ColorOf(e.node));
-      }
-      if (directed_) {
-        for (const NeighborEntry& e : graph_.OutNeighbors(v)) {
-          in_deg_.Subtract(e.node, split_color, e.weight);
-          in_deg_.Add(e.node, new_color, e.weight);
-          in_affected_.Touch(partition_.ColorOf(e.node));
-        }
-      }
+    MoveEjectedRows(/*in_arcs=*/true, split_color, new_color, out_deg_,
+                    out_affected_);
+    if (directed_) {
+      MoveEjectedRows(/*in_arcs=*/false, split_color, new_color, in_deg_,
+                      in_affected_);
     }
 
     // The two halves of the split need full rebuilds (their member sets
@@ -520,6 +576,7 @@ class RothkoRefiner::Impl {
   std::vector<NodeId> eject_;
   std::vector<ColorId> affected_scratch_;
   std::vector<SplitPairScore> score_scratch_;
+  std::vector<NeighborEntry> moves_;  // one MoveEjectedRows chunk
 
   WallTimer timer_;
   std::vector<RothkoStep> history_;
@@ -543,6 +600,9 @@ const std::vector<RothkoStep>& RothkoRefiner::history() const {
   return impl_->history();
 }
 int64_t RothkoRefiner::MemoryBytes() const { return impl_->MemoryBytes(); }
+FlatRowStats RothkoRefiner::DegreeRowStats() const {
+  return impl_->DegreeRowStats();
+}
 
 Partition RothkoColoring(const GraphView& g, Partition initial,
                          const RothkoOptions& options) {

@@ -14,11 +14,12 @@
 // the source. For undirected graphs the two coincide and only the
 // out-direction is tracked.
 //
-// The implementation is incremental: per-node sparse color-weight maps and
-// per-pair max/min aggregates are updated on each split (cost proportional
-// to the split color's volume), and witnesses are found through lazy
-// max-heaps, so building a k-color refinement does not rescan the graph k
-// times.
+// The implementation is incremental: per-node degree rows (the weight
+// toward each neighboring color, one arena per direction; see
+// coloring/flat_rows.h) and per-pair max/min aggregates are updated on each
+// split (cost proportional to the split color's volume), and witnesses are
+// found through lazy max-heaps, so building a k-color refinement does not
+// rescan the graph k times.
 //
 // The cut itself is pluggable: a SplitRule decides which members of the
 // chosen color move into the new color. The default (null) rule is the
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "qsc/coloring/backend.h"
+#include "qsc/coloring/flat_rows.h"
 #include "qsc/coloring/params.h"
 #include "qsc/coloring/partition.h"
 #include "qsc/graph/graph_view.h"
@@ -134,6 +136,9 @@ class RothkoRefiner : public ColoringBackend {
   // number is a close lower bound on the allocator's view. Used by the
   // byte-budgeted ColoringCache to decide eviction.
   int64_t MemoryBytes() const override;
+
+  // Arena accounting of the degree rows, both directions summed.
+  FlatRowStats DegreeRowStats() const;
 
  private:
   class Impl;

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "qsc/coloring/q_error.h"
 #include "qsc/coloring/stable.h"
 #include "qsc/graph/datasets.h"
 #include "qsc/graph/generators.h"
+#include "qsc/parallel/thread_pool.h"
 #include "qsc/util/random.h"
+#include "rothko_reference.h"
 
 namespace qsc {
 namespace {
@@ -207,6 +210,82 @@ TEST(RothkoTest, DirectedGraphBothDirections) {
   // Nodes 2 (in-weight 2) and 3 (in-weight 0) must separate.
   EXPECT_NE(p.ColorOf(2), p.ColorOf(3));
   EXPECT_DOUBLE_EQ(ComputeQError(g, p).max_q, 0.0);
+}
+
+// A 60-node graph whose weights mix magnitudes (~1e6, ~1, ~1e-3) and
+// signs. Moving a large and a small weight out of one degree-row entry in
+// turn leaves floating-point residue above kZeroWeightTolerance, so rows
+// keep keys for colors none of their neighbors still has.
+Graph ResidueGraph(uint64_t seed, bool directed) {
+  Rng rng(seed);
+  std::vector<EdgeTriple> edges;
+  for (int i = 0; i < 200; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.NextBounded(60));
+    const NodeId v = static_cast<NodeId>(rng.NextBounded(60));
+    if (u == v) continue;
+    const double scale = rng.NextBounded(3) == 0   ? 1e6
+                         : rng.NextBounded(2) == 0 ? 1.0
+                                                   : 1e-3;
+    const double sign = rng.Bernoulli(0.3) ? -1.0 : 1.0;
+    edges.push_back({u, v, sign * scale * rng.UniformDouble(0.5, 2.0)});
+  }
+  return Graph::FromEdges(60, edges, /*undirected=*/!directed);
+}
+
+// (node, neighbor color) pairs of `p`, over both directions when
+// directed: the keys exact-arithmetic degree rows would hold.
+int64_t NeighborColorPairs(const Graph& g, const Partition& p) {
+  int64_t pairs = 0;
+  std::vector<ColorId> colors;
+  const auto count = [&](GraphView::NeighborRange range) {
+    colors.clear();
+    for (const NeighborEntry& e : range) colors.push_back(p.ColorOf(e.node));
+    std::sort(colors.begin(), colors.end());
+    pairs += std::unique(colors.begin(), colors.end()) - colors.begin();
+  };
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    count(g.OutNeighbors(v));
+    if (!g.undirected()) count(g.InNeighbors(v));
+  }
+  return pairs;
+}
+
+TEST(RothkoTest, RowsOutgrowTheirBuildSlotsAndMatchReference) {
+  // Rows start exact-sized in the arena and grow past their slots as the
+  // refinement splits colors, with residue entries on top: relocation
+  // and compaction must not change a single split decision.
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    for (const bool directed : {false, true}) {
+      const Graph g = ResidueGraph(seed, directed);
+      for (const int threads : {0, 2, 8}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " directed "
+                                        << directed << " threads "
+                                        << threads);
+        ThreadPool pool(std::max(threads, 1));
+        RothkoOptions options;
+        options.max_colors = g.num_nodes();
+        options.pool = threads > 0 ? &pool : nullptr;
+        RothkoRefiner refiner(g, Partition::Trivial(g.num_nodes()), options);
+        reference::ReferenceRefiner ref(g, Partition::Trivial(g.num_nodes()),
+                                        options);
+        const FlatRowStats built = refiner.DegreeRowStats();
+        for (int step = 0;; ++step) {
+          ASSERT_EQ(refiner.CurrentMaxError(), ref.CurrentMaxError())
+              << "before step " << step;
+          const bool more = refiner.Step();
+          ASSERT_EQ(more, ref.Step()) << "step " << step;
+          ASSERT_TRUE(refiner.partition() == ref.partition())
+              << "step " << step;
+          if (!more) break;
+        }
+        const FlatRowStats stats = refiner.DegreeRowStats();
+        EXPECT_GT(stats.live, built.live);  // rows outgrew their build size
+        EXPECT_GT(stats.relocations, 0);
+        // Residue entries: rows hold keys beyond their neighbors' colors.
+        EXPECT_GT(stats.live, NeighborColorPairs(g, refiner.partition()));
+      }
+    }
+  }
 }
 
 // Property sweep: on every generated graph and budget, the refinement (a)
