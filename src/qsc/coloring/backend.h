@@ -25,6 +25,16 @@
 //      pinned singletons stay pinned.
 //   4. MemoryBytes() approximates the live heap footprint for the
 //      byte-budgeted cache's eviction accounting.
+//   5. In-place edits: PatchGraph(g, arcs) rebinds a live instance to the
+//      edited graph and updates only the state the edited arcs touch. On
+//      graphs whose weights sum exactly in double precision (integer
+//      weights, which every generator and edit stream in the tree draws)
+//      the patched instance equals the registry's factory over
+//      (g, partition()) bit for bit: same CurrentMaxError(), same later
+//      Step() sequence, same partitions. With other weights it agrees up
+//      to the rounding of the changed sums. A kernel that cannot patch
+//      keeps the default, which returns false; the IncrementalRecolorer
+//      then resets it to the spec's initial partition.
 //
 // Builtin backends (registered on first Global() use). All three are one
 // engine, the incremental RothkoRefiner (paper Algorithm 1: size-weighted
@@ -56,6 +66,14 @@
 
 namespace qsc {
 
+// One arc whose weight an edit batch changed: inserted, deleted or
+// re-weighted. On an undirected graph it names the logical edge
+// {src, dst}, both of whose arcs changed.
+struct EditedArc {
+  NodeId src = 0;
+  NodeId dst = 0;
+};
+
 // The refiner contract shared by all compression kernels.
 class ColoringBackend {
  public:
@@ -76,6 +94,16 @@ class ColoringBackend {
   // Approximate heap footprint of the live instance, in bytes (the
   // byte-budgeted ColoringCache's eviction accounting).
   virtual int64_t MemoryBytes() const = 0;
+
+  // Rebinds the instance to `g`, the graph it was built over after an
+  // edit batch that changed exactly `arcs` (same node set, same
+  // directedness), keeping the current partition (contract item 5). `g`
+  // must outlive the instance. Returns false when the kernel cannot
+  // patch; the instance must then be discarded.
+  virtual bool PatchGraph(const GraphView& /*g*/,
+                          const std::vector<EditedArc>& /*arcs*/) {
+    return false;
+  }
 };
 
 // The canonical name of the default backend; ColoringSpec treats the

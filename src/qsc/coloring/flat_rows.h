@@ -72,7 +72,8 @@ struct FlatRowStats {
 class FlatWeightRows {
  public:
   // Read-only view of one row. Valid until the next mutation of the rows
-  // (Add, Subtract, Move, Build, Reset): a mutation may move any row.
+  // (Add, Subtract, Move, Assign, Repack, Build, Reset): a mutation may
+  // move any row.
   class RowView {
    public:
     size_t size() const { return static_cast<size_t>(size_); }
@@ -96,6 +97,28 @@ class FlatWeightRows {
     const ColorId* keys_;
     const double* weights_;
     int32_t size_;
+  };
+
+  // One key's sum, replayed contribution by contribution in emission order
+  // under the zero tolerance: exactly what Build keeps for that key (the
+  // first sub-tolerance weight is skipped, and a sum that falls inside the
+  // tolerance is absent until the next contribution restarts it).
+  class KeySum {
+   public:
+    void Add(double w) {
+      if (present_) {
+        present_ = Accumulate(&sum_, w);
+      } else if (!Dropped(w)) {
+        sum_ = w;
+        present_ = true;
+      }
+    }
+    bool present() const { return present_; }
+    double sum() const { return sum_; }
+
+   private:
+    bool present_ = false;
+    double sum_ = 0.0;
   };
 
   // Bytes per row header and per arena entry (MemoryBytes' units).
@@ -201,6 +224,24 @@ class FlatWeightRows {
     InsertAt(v, i, key, w);
   }
 
+  // Sets row v's entry for `key` to `sum`: overwritten, inserted, or
+  // erased when the sum is absent. The edit patch of rothko.cc writes a
+  // recomputed key through this.
+  void Assign(NodeId v, ColorId key, const KeySum& sum) {
+    const Slot& s = slots_[v];
+    const ColorId* keys = keys_.data() + s.offset;
+    const int32_t i =
+        static_cast<int32_t>(std::lower_bound(keys, keys + s.size, key) - keys);
+    const bool has = i < s.size && keys[i] == key;
+    if (!sum.present()) {
+      if (has) EraseAt(v, i);
+    } else if (has) {
+      weights_[s.offset + i] = sum.sum();
+    } else {
+      InsertAt(v, i, key, sum.sum());
+    }
+  }
+
   // Subtracts `w`, treating an absent entry as an implicit 0. Absence is
   // legitimate even mid-update: positive and negative arc weights toward
   // `key` can cancel within the zero tolerance and drop the entry, after
@@ -266,6 +307,35 @@ class FlatWeightRows {
     }
     stats_.live += new_size - size;
     slots_[v].size = new_size;
+  }
+
+  // Repacks every row into a fresh arena in row order, as Build lays
+  // them out (each slot's capacity becomes its size, abandoned slots are
+  // dropped), with room for 1/64 of the live entries to grow into before
+  // a relocation grows the arena again. O(rows + live entries).
+  void Repack() {
+    const int64_t live = stats_.live;
+    std::vector<ColorId> keys;
+    std::vector<double> weights;
+    keys.reserve(static_cast<size_t>(live + live / 64));
+    weights.reserve(static_cast<size_t>(live + live / 64));
+    keys.resize(static_cast<size_t>(live));
+    weights.resize(static_cast<size_t>(live));
+    uint32_t offset = 0;
+    for (Slot& s : slots_) {
+      if (s.size > 0) {
+        std::memcpy(keys.data() + offset, keys_.data() + s.offset,
+                    sizeof(ColorId) * s.size);
+        std::memcpy(weights.data() + offset, weights_.data() + s.offset,
+                    sizeof(double) * s.size);
+      }
+      s.offset = offset;
+      s.capacity = s.size;
+      offset += static_cast<uint32_t>(s.size);
+    }
+    keys_.swap(keys);
+    weights_.swap(weights);
+    stats_.dead = 0;
   }
 
   // Heap footprint (header and arena capacities) for the byte-budgeted
@@ -338,21 +408,14 @@ class FlatWeightRows {
     int32_t size = 0;
     for (size_t i = 0; i < pending->size();) {
       const ColorId key = (*pending)[i].key;
-      bool present = false;
-      double sum = 0.0;
+      KeySum sum;
       for (; i < pending->size() && (*pending)[i].key == key; ++i) {
-        const double w = (*pending)[i].weight;
-        if (present) {
-          present = Accumulate(&sum, w);
-        } else if (!Dropped(w)) {
-          sum = w;
-          present = true;
-        }
+        sum.Add((*pending)[i].weight);
       }
-      if (!present) continue;
+      if (!sum.present()) continue;
       if (keys != nullptr) {
         keys[size] = key;
-        weights[size] = sum;
+        weights[size] = sum.sum();
       }
       ++size;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <tuple>
 #include <vector>
 
 #include "qsc/coloring/flat_rows.h"
@@ -81,6 +82,42 @@ class RothkoRefiner::Impl {
 
   const std::vector<RothkoStep>& history() const { return history_; }
 
+  const RothkoPatchStats& last_patch() const { return patch_; }
+
+  bool PatchGraph(const GraphView& g, const std::vector<EditedArc>& arcs) {
+    QSC_CHECK_EQ(g.num_nodes(), partition_.num_nodes());
+    QSC_CHECK_EQ(g.undirected(), !directed_);
+    graph_ = g;
+    patch_ = RothkoPatchStats{};
+    // Splits leave arena room a fresh build would not have: relocated
+    // rows' doubled slots, abandoned slots, growth room (after a long
+    // refinement, ~1.6x the live entries). A patched refiner stays cached
+    // across edit batches, so an arena above 5/4 of its live entries is
+    // repacked. Only relocations grow an arena past its repack room, so a
+    // repack costs no more than the relocations that preceded it.
+    for (FlatWeightRows* deg : {&out_deg_, &in_deg_}) {
+      const FlatRowStats rows = deg->stats();
+      if (4 * rows.arena_capacity > 5 * rows.live) deg->Repack();
+    }
+    // Likewise the split scratch, sized by the largest color ever split
+    // (the first split's whole initial color); repair splits regrow it.
+    std::vector<double>().swap(split_values_);
+    std::vector<NodeId>().swap(eject_);
+    PatchRowEntries(arcs);
+    PatchPairAggregates();
+    // A fresh build prices every witness with the current color sizes,
+    // while an entry of a pair no split touched keeps the sizes of its
+    // push; under a size-weighted rule the heaps are therefore repriced.
+    if (options_.alpha != 0.0 || options_.beta != 0.0 ||
+        HeapEntries() > 2 * live_aggs_) {
+      RebuildHeaps();
+      patch_.heaps_rebuilt = true;
+    }
+    patch_.heap_entries = HeapEntries();
+    patch_.live_pairs = live_aggs_;
+    return true;
+  }
+
   FlatRowStats DegreeRowStats() const {
     FlatRowStats total = out_deg_.stats();
     if (!directed_) return total;
@@ -109,6 +146,8 @@ class RothkoRefiner::Impl {
     }
     bytes += static_cast<int64_t>(
         (weighted_heap_.size() + raw_heap_.size()) * sizeof(HeapEntry));
+    bytes += static_cast<int64_t>(row_keys_.capacity() * sizeof(RowKey) +
+                                  changes_.capacity() * sizeof(MemberChange));
     bytes += agg_scratch_.MemoryBytes() + out_affected_.MemoryBytes() +
              in_affected_.MemoryBytes();
     bytes += static_cast<int64_t>(
@@ -124,12 +163,16 @@ class RothkoRefiner::Impl {
 
  private:
   // Max/min/presence-count of the witness degrees for one ordered color
-  // pair in one direction. `version` identifies the generation; heap
-  // entries carrying an older version are stale.
+  // pair in one direction, with the number of members holding each
+  // extreme (what lets PatchGraph drop a member's old value without a
+  // rescan). `version` identifies the generation; heap entries carrying an
+  // older version are stale.
   struct PairAgg {
     double max_w = 0.0;
     double min_w = 0.0;
     int64_t count = 0;
+    int32_t max_count = 0;
+    int32_t min_count = 0;
     uint64_t version = 0;
   };
 
@@ -255,6 +298,8 @@ class RothkoRefiner::Impl {
     sorted_keys_.assign(agg_scratch_.touched().begin(),
                         agg_scratch_.touched().end());
     std::sort(sorted_keys_.begin(), sorted_keys_.end());
+    live_aggs_ += static_cast<int64_t>(sorted_keys_.size()) -
+                  static_cast<int64_t>(aggs.size());
     aggs.clear();
     aggs.reserve(sorted_keys_.size());
     for (const ColorId other : sorted_keys_) {
@@ -281,14 +326,142 @@ class RothkoRefiner::Impl {
                   /*direction=*/1);
   }
 
+  // Folds one member's weight into `agg`, counting the holders of each
+  // extreme. Also exact after RemoveWeight took an extreme's last holder
+  // (its count is then 0 and its value stale): a weight beyond the stale
+  // value becomes the extreme and one equal to it holds it again; only a
+  // weight inside leaves the count at 0, which PatchGraph resolves by a
+  // rescan.
   static void MergeWeight(PairAgg& agg, double w) {
     if (agg.count == 0) {
       agg.max_w = agg.min_w = w;
+      agg.max_count = agg.min_count = 1;
       agg.count = 1;
-    } else {
-      agg.max_w = std::max(agg.max_w, w);
-      agg.min_w = std::min(agg.min_w, w);
-      ++agg.count;
+      return;
+    }
+    // Selects rather than branches: this runs twice per member in the
+    // split loop's hot scan.
+    const bool above = w > agg.max_w;
+    const bool below = w < agg.min_w;
+    agg.max_count = above ? 1 : agg.max_count + (w == agg.max_w ? 1 : 0);
+    agg.min_count = below ? 1 : agg.min_count + (w == agg.min_w ? 1 : 0);
+    agg.max_w = above ? w : agg.max_w;
+    agg.min_w = below ? w : agg.min_w;
+    ++agg.count;
+  }
+
+  // Takes one member's weight `w` (present in `agg`) back out.
+  static void RemoveWeight(PairAgg& agg, double w) {
+    QSC_DCHECK(agg.count > 0);
+    --agg.count;
+    if (w == agg.max_w) --agg.max_count;
+    if (w == agg.min_w) --agg.min_count;
+    QSC_DCHECK(agg.max_count >= 0 && agg.min_count >= 0);
+  }
+
+  // The aggregate of color c's members toward `key` in `deg`, from
+  // scratch.
+  PairAgg RescanPair(ColorId c, ColorId key, const FlatWeightRows& deg) {
+    PairAgg agg;
+    for (const NodeId v : partition_.Members(c)) {
+      const double* w = deg.Find(v, key);
+      if (w != nullptr) MergeWeight(agg, *w);
+    }
+    ++patch_.rescans;
+    patch_.rescanned_members += partition_.ColorSize(c);
+    return agg;
+  }
+
+  // PatchGraph step 2: recomputes the row entries the arcs touch — each
+  // once: (u, color(v)) of the out rows and (v, color(u)) of the in rows,
+  // or of the out rows again on an undirected graph, whose arcs go both
+  // ways — from the new adjacency in the order a fresh build sums them,
+  // and lists in changes_ every member whose value changed.
+  void PatchRowEntries(const std::vector<EditedArc>& arcs) {
+    const NodeId n = partition_.num_nodes();
+    row_keys_.clear();
+    for (const EditedArc& arc : arcs) {
+      QSC_CHECK(arc.src >= 0 && arc.src < n && arc.dst >= 0 && arc.dst < n);
+      row_keys_.push_back({0, arc.src, partition_.ColorOf(arc.dst)});
+      row_keys_.push_back({static_cast<uint8_t>(directed_ ? 1 : 0), arc.dst,
+                           partition_.ColorOf(arc.src)});
+    }
+    std::sort(row_keys_.begin(), row_keys_.end());
+    row_keys_.erase(std::unique(row_keys_.begin(), row_keys_.end()),
+                    row_keys_.end());
+    changes_.clear();
+    for (const RowKey& rk : row_keys_) {
+      FlatWeightRows& deg = rk.direction == 0 ? out_deg_ : in_deg_;
+      FlatWeightRows::KeySum sum;
+      for (const NeighborEntry& e : rk.direction == 0
+                                        ? graph_.OutNeighbors(rk.node)
+                                        : graph_.InNeighbors(rk.node)) {
+        if (partition_.ColorOf(e.node) == rk.key) sum.Add(e.weight);
+      }
+      const double* old = deg.Find(rk.node, rk.key);
+      const bool same = old == nullptr ? !sum.present()
+                                       : sum.present() && *old == sum.sum();
+      if (!same) {
+        const RowKey pair{rk.direction, partition_.ColorOf(rk.node), rk.key};
+        changes_.push_back({pair, old != nullptr, old == nullptr ? 0.0 : *old,
+                            sum.present(), sum.sum()});
+        deg.Assign(rk.node, rk.key, sum);
+      }
+    }
+    patch_.changed_entries = static_cast<int64_t>(changes_.size());
+  }
+
+  // PatchGraph step 3: updates each pair aggregate holding a changed
+  // entry from its members' changes and pushes its witness entries. Every
+  // old value leaves before any new value joins, so an extreme that lost
+  // its last holder is either reclaimed by a new value or rescanned.
+  void PatchPairAggregates() {
+    std::sort(changes_.begin(), changes_.end(),
+              [](const MemberChange& a, const MemberChange& b) {
+                return a.pair < b.pair;
+              });
+    for (size_t i = 0; i < changes_.size();) {
+      const RowKey pair = changes_[i].pair;  // node: the fixed color
+      size_t end = i;
+      while (end < changes_.size() && changes_[end].pair == pair) ++end;
+      const bool out = pair.direction == 0;
+      AggRow& aggs = out ? out_agg_[pair.node] : in_agg_[pair.node];
+      PairAgg agg;
+      if (const PairAgg* found = FindAgg(aggs, pair.key)) agg = *found;
+      for (size_t k = i; k < end; ++k) {
+        if (changes_[k].had_old) RemoveWeight(agg, changes_[k].old_w);
+      }
+      for (size_t k = i; k < end; ++k) {
+        if (changes_[k].has_new) MergeWeight(agg, changes_[k].new_w);
+      }
+      if (agg.count > 0 && (agg.max_count == 0 || agg.min_count == 0)) {
+        agg = RescanPair(pair.node, pair.key, out ? out_deg_ : in_deg_);
+      }
+      ++patch_.pairs;
+      StoreAndPush(pair.node, pair.key, agg, aggs, /*source_side=*/out,
+                   pair.direction);
+      i = end;
+    }
+  }
+
+  int64_t HeapEntries() const {
+    return static_cast<int64_t>(
+        std::max(weighted_heap_.size(), raw_heap_.size()));
+  }
+
+  // Refills both witness heaps with one entry per live aggregate, priced
+  // with the current color sizes.
+  void RebuildHeaps() {
+    weighted_heap_ = std::priority_queue<HeapEntry>();
+    raw_heap_ = std::priority_queue<HeapEntry>();
+    for (ColorId c = 0; c < partition_.num_colors(); ++c) {
+      for (const AggEntry& e : out_agg_[c]) {
+        PushEntries(c, e.key, /*direction=*/0, e.agg);
+      }
+      if (!directed_) continue;
+      for (const AggEntry& e : in_agg_[c]) {
+        PushEntries(e.key, c, /*direction=*/1, e.agg);
+      }
     }
   }
 
@@ -299,7 +472,10 @@ class RothkoRefiner::Impl {
     auto it = AggLowerBound(aggs, other);
     const bool present = it != aggs.end() && it->key == other;
     if (agg.count == 0) {
-      if (present) aggs.erase(it);
+      if (present) {
+        aggs.erase(it);
+        --live_aggs_;
+      }
       return;
     }
     agg.version = ++version_counter_;
@@ -307,6 +483,7 @@ class RothkoRefiner::Impl {
       it->agg = agg;
     } else {
       aggs.insert(it, {other, agg});
+      ++live_aggs_;
     }
     const ColorId src = source_side ? c : other;
     const ColorId dst = source_side ? other : c;
@@ -566,6 +743,35 @@ class RothkoRefiner::Impl {
   mutable std::priority_queue<HeapEntry> weighted_heap_;
   mutable std::priority_queue<HeapEntry> raw_heap_;
   uint64_t version_counter_ = 0;
+  int64_t live_aggs_ = 0;  // entries of out_agg_ and in_agg_
+
+  // PatchGraph's scratch: one degree-row entry an edited arc touches
+  // (row `node`, key `key`), and one member whose entry changed, filed
+  // under its pair aggregate (the same triple with the member's color as
+  // `node`).
+  struct RowKey {
+    uint8_t direction;  // 0: out_deg_ / out_agg_, 1: in_deg_ / in_agg_
+    int32_t node;
+    ColorId key;
+
+    bool operator<(const RowKey& o) const {
+      return std::tie(direction, node, key) <
+             std::tie(o.direction, o.node, o.key);
+    }
+    bool operator==(const RowKey& o) const {
+      return direction == o.direction && node == o.node && key == o.key;
+    }
+  };
+  struct MemberChange {
+    RowKey pair;
+    bool had_old;
+    double old_w;
+    bool has_new;
+    double new_w;
+  };
+  std::vector<RowKey> row_keys_;
+  std::vector<MemberChange> changes_;
+  RothkoPatchStats patch_;
 
   // Preallocated scratch reused across splits (see flat_rows.h).
   EpochScratch<PairAgg> agg_scratch_;
@@ -602,6 +808,13 @@ const std::vector<RothkoStep>& RothkoRefiner::history() const {
 int64_t RothkoRefiner::MemoryBytes() const { return impl_->MemoryBytes(); }
 FlatRowStats RothkoRefiner::DegreeRowStats() const {
   return impl_->DegreeRowStats();
+}
+bool RothkoRefiner::PatchGraph(const GraphView& g,
+                               const std::vector<EditedArc>& arcs) {
+  return impl_->PatchGraph(g, arcs);
+}
+const RothkoPatchStats& RothkoRefiner::last_patch() const {
+  return impl_->last_patch();
 }
 
 Partition RothkoColoring(const GraphView& g, Partition initial,

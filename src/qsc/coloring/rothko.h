@@ -19,7 +19,12 @@
 // coloring/flat_rows.h) and per-pair max/min aggregates are updated on each
 // split (cost proportional to the split color's volume), and witnesses are
 // found through lazy max-heaps, so building a k-color refinement does not
-// rescan the graph k times.
+// rescan the graph k times. The same state absorbs graph edits in place
+// (PatchGraph): an edited arc changes one entry of each endpoint's row,
+// and each changed entry moves one member's value inside one pair
+// aggregate. Every aggregate counts the members holding its max and its
+// min, so it updates from the (old, new) values alone, and its members
+// are rescanned only when the last holder of an extreme moves inward.
 //
 // The cut itself is pluggable: a SplitRule decides which members of the
 // chosen color move into the new color. The default (null) rule is the
@@ -74,6 +79,17 @@ struct RothkoStep {
   double witness_error;    // unweighted q-error of the chosen witness
   ColorId num_colors;      // colors after the split
   double elapsed_seconds;  // since refiner construction
+};
+
+// Telemetry of the last PatchGraph call.
+struct RothkoPatchStats {
+  int64_t changed_entries = 0;    // degree-row entries whose value changed
+  int64_t pairs = 0;              // pair aggregates updated
+  int64_t rescans = 0;            // pairs whose members were rescanned
+  int64_t rescanned_members = 0;  // members visited by those rescans
+  bool heaps_rebuilt = false;     // witness heaps rebuilt from the pairs
+  int64_t heap_entries = 0;       // entries of the larger heap afterwards
+  int64_t live_pairs = 0;         // live pair aggregates afterwards
 };
 
 // A witness-split rule. `members` is Members(split_color) and `values[i]`
@@ -139,6 +155,30 @@ class RothkoRefiner : public ColoringBackend {
 
   // Arena accounting of the degree rows, both directions summed.
   FlatRowStats DegreeRowStats() const;
+
+  // Rebinds to the edited graph `g` and patches the state the edited arcs
+  // touch (backend.h contract item 5), in four steps:
+  //   1. the refiner's GraphView becomes `g`;
+  //   2. for each arc (u, v) the entries out_deg[u][color(v)] and, on
+  //      directed graphs, in_deg[v][color(u)] (undirected:
+  //      out_deg[v][color(u)]) are recomputed from g's adjacency, summed
+  //      in adjacency order exactly as a fresh build sums them;
+  //   3. each pair aggregate holding a changed entry is updated from the
+  //      members' (old, new) values, rescanning its members only when an
+  //      extreme lost its last holder and no new value reached it;
+  //   4. fresh witness entries are pushed. Both witness heaps are rebuilt
+  //      from the live aggregates when stale entries outnumber live ones,
+  //      and on every patch under a size-weighted witness rule (alpha or
+  //      beta nonzero), whose priorities a fresh build prices with the
+  //      current color sizes.
+  // Cost: the adjacency of the edited endpoints plus the touched pairs
+  // (and the aggregate count when the heaps are rebuilt). A degree-row
+  // arena that splits left above 5/4 of its live entries is first
+  // repacked, as a fresh build would lay it out. Always returns true.
+  bool PatchGraph(const GraphView& g,
+                  const std::vector<EditedArc>& arcs) override;
+
+  const RothkoPatchStats& last_patch() const;
 
  private:
   class Impl;

@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "qsc/util/check.h"
 
@@ -43,10 +44,9 @@ RepairOutcome IncrementalRecolorer::ApplyGraph(
   QSC_CHECK(!graph.empty());
   RepairOutcome out;
 
-  // The witness rows the batch invalidated: distinct pre-edit colors with
-  // an edited endpoint. Telemetry for now — rebuilding the kernel from
-  // the current partition re-derives every row against the new adjacency,
-  // and the repair loop respends splits only where the error rose.
+  // The colors whose aggregate rows the patch revisits: distinct pre-edit
+  // colors with an edited endpoint (every patched degree-row entry belongs
+  // to an endpoint's row).
   {
     const Partition& p = impl_->partition();
     std::unordered_set<ColorId> dirty;
@@ -60,28 +60,28 @@ RepairOutcome IncrementalRecolorer::ApplyGraph(
 
   graph_ = std::move(graph);
   const double tolerance = params_.q_tolerance;
-  if (tolerance > 0.0) {
-    // Repair path: continue from the pre-edit partition on the mutated
-    // graph and re-split until the spec's tolerance certificate is
-    // restored or the budget says the batch was too disruptive.
-    auto repaired = ColoringBackendRegistry::Global().Create(
-        backend_, graph_.view(), impl_->partition(), params_);
+  std::vector<EditedArc> arcs;
+  arcs.reserve(edits.size());
+  for (const EditOp& op : edits) arcs.push_back({op.src, op.dst});
+  if (tolerance > 0.0 && impl_->PatchGraph(graph_.view(), arcs)) {
+    // Repair path: the kernel, patched in place, now holds the pre-edit
+    // partition on the mutated graph; re-split until the spec's tolerance
+    // certificate is restored or the budget says the batch was too
+    // disruptive.
     bool kernel_converged = false;
-    while (repaired->CurrentMaxError() > tolerance) {
+    while (impl_->CurrentMaxError() > tolerance) {
       if (out.splits >= options.max_repair_splits) break;
-      const ColorId before = repaired->partition().num_colors();
-      if (!repaired->Step(/*color_cap=*/0)) {
+      const ColorId before = impl_->partition().num_colors();
+      if (!impl_->Step(/*color_cap=*/0)) {
         // Converged by the kernel's own rule; with no splittable color
         // left the error cannot be above a positive tolerance, but guard
         // against kernels that disagree.
         kernel_converged = true;
         break;
       }
-      out.splits += repaired->partition().num_colors() - before;
+      out.splits += impl_->partition().num_colors() - before;
     }
-    const bool restored = repaired->CurrentMaxError() <= tolerance;
-    if (restored || kernel_converged) {
-      impl_ = std::move(repaired);
+    if (impl_->CurrentMaxError() <= tolerance || kernel_converged) {
       out.repaired = true;
       // Error at or under tolerance means any further Step would refuse
       // to split; record convergence so cache budget loops skip it.
@@ -93,9 +93,11 @@ RepairOutcome IncrementalRecolorer::ApplyGraph(
     out.splits = 0;  // fallback: repair work is discarded
   }
 
-  // Fallback (and the only path for q_tolerance == 0 specs): reset to the
-  // spec's initial partition on the mutated graph. Refinement from here
-  // is bit-identical to a from-scratch run.
+  // Fallback (and the only path for q_tolerance == 0 specs and for
+  // kernels that cannot patch): reset to the spec's initial partition on
+  // the mutated graph. Refinement from here is bit-identical to a
+  // from-scratch run.
+  impl_.reset();  // never two refiners of this spec at once
   impl_ = ColoringBackendRegistry::Global().Create(backend_, graph_.view(),
                                                    initial_, params_);
   out.repaired = false;

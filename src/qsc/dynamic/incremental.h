@@ -7,14 +7,17 @@
 // while the graph is frozen every call delegates to the wrapped kernel,
 // bit-identical to using the kernel directly.
 //
-// ApplyGraph is the new verb. On an edit batch the witness rows of the
-// colors touched by the edits are stale; instead of discarding the
-// partition, the recolorer rebuilds the wrapped kernel over the mutated
-// graph *from the current partition* (witness rows re-derive against the
-// new adjacency; prior splits are kept) and re-splits until the spec's
-// q-tolerance is restored, under a repair split budget. Splits
-// concentrate where the edits raised the error — that is the locality of
-// the repair path.
+// ApplyGraph is the new verb. An edit batch changes only the degree-row
+// entries of the edited arcs' endpoints toward each other's colors, so
+// instead of discarding the partition the recolorer patches the wrapped
+// kernel in place (ColoringBackend::PatchGraph, backend.h contract item
+// 5): the kernel rebinds to the mutated graph, recomputes those entries,
+// and updates the pair aggregates holding them from the changed values
+// alone. The result is bit for bit the kernel a fresh build over (mutated
+// graph, current partition) would be, at a cost proportional to the
+// edited rows. The recolorer then re-splits until the spec's q-tolerance
+// is restored, under a repair split budget. Splits concentrate where the
+// edits raised the error — that is the locality of the repair path.
 //
 // Repair/fallback contract (docs/DYNAMIC.md; the differential oracle in
 // eval/differential.h gates it at zero tolerance):
@@ -67,7 +70,8 @@ struct RepairOutcome {
   // Splits the repair spent (0 on fallback).
   int64_t splits = 0;
   // Distinct colors of the pre-edit partition containing an edited
-  // endpoint — the witness rows the batch invalidated.
+  // endpoint: the aggregate rows the patch revisits (every degree-row
+  // entry an edit changes belongs to an endpoint).
   int64_t dirty_colors = 0;
   // True when the wrapped kernel reported convergence during the repair
   // (a converged entry stays converged until the next edit).
@@ -93,9 +97,9 @@ class IncrementalRecolorer final : public ColoringBackend {
   int64_t MemoryBytes() const override;
 
   // Swaps in the already-mutated graph (`edits` is the batch that
-  // produced it, used only to identify the dirty colors) and repairs or
-  // falls back per the contract above. Not safe concurrently with Step;
-  // the ColoringCache serializes per entry.
+  // produced it: its arcs are the ones the wrapped kernel patches) and
+  // repairs or falls back per the contract above. Not safe concurrently
+  // with Step; the ColoringCache serializes per entry.
   RepairOutcome ApplyGraph(GraphStore graph, const std::vector<EditOp>& edits,
                            const RepairOptions& options);
 

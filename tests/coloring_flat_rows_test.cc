@@ -1,7 +1,7 @@
 // Unit tests for the Rothko hot-path containers (flat_rows.h): sorted-row
 // invariants of the arena-backed FlatWeightRows (insert/accumulate/erase
-// with the zero tolerance, Move, the parallel Build, relocation and
-// compaction, O(1) memory accounting) against a std::map oracle of the
+// with the zero tolerance, Move, Assign, the parallel Build, relocation,
+// compaction and repacking, O(1) memory accounting) against a std::map oracle of the
 // Add semantics, and epoch semantics of EpochScratch (O(1) reuse,
 // freshness reporting, touched-key ordering).
 
@@ -353,6 +353,65 @@ TEST(FlatWeightRowsTest, RelocatedRowsSurviveCompaction) {
   ExpectAccountingConsistent(rows, kRows);
   // Compaction keeps the arena within about twice the live entries.
   EXPECT_LE(stats.arena_capacity, 3 * stats.live);
+}
+
+TEST(FlatWeightRowsTest, RepackKeepsRowsAndDropsSlack) {
+  // Relocations leave doubled slots and abandoned ones; a repack lays the
+  // rows out back to back at their sizes, plus 1/64 of room, and the rows
+  // still take the same mutations afterwards.
+  constexpr NodeId kRows = 48;
+  FlatWeightRows rows;
+  rows.Build(kRows, nullptr, [](NodeId v, auto emit) { emit(0, 2.0 + v); });
+  std::vector<OracleRow> oracle(kRows);
+  for (NodeId v = 0; v < kRows; ++v) OracleAdd(oracle[v], 0, 2.0 + v);
+  for (ColorId round = 1; round <= 5; ++round) {
+    for (NodeId v = 0; v < kRows; v += 1 + round % 2) {
+      rows.Move(v, 0, round, 0.25);
+      OracleAdd(oracle[v], 0, -0.25);
+      OracleAdd(oracle[v], round, 0.25);
+    }
+  }
+  ASSERT_GT(rows.stats().arena_capacity, rows.stats().live);
+  rows.Repack();
+  const FlatRowStats stats = rows.stats();
+  EXPECT_EQ(stats.dead, 0);
+  EXPECT_EQ(stats.used, stats.live);
+  EXPECT_EQ(stats.arena_capacity, stats.live + stats.live / 64);
+  for (NodeId v = 0; v < kRows; ++v) {
+    EXPECT_EQ(rows.SlotCapacity(v), static_cast<int64_t>(oracle[v].size()));
+    ASSERT_NO_FATAL_FAILURE(ExpectRowEquals(rows, v, oracle[v]));
+  }
+  ExpectAccountingConsistent(rows, kRows);
+  for (NodeId v = 0; v < kRows; ++v) {
+    rows.Add(v, 9, 1.0);
+    OracleAdd(oracle[v], 9, 1.0);
+    ASSERT_NO_FATAL_FAILURE(ExpectRowEquals(rows, v, oracle[v]));
+  }
+  ExpectAccountingConsistent(rows, kRows);
+}
+
+TEST(FlatWeightRowsTest, AssignOverwritesInsertsAndErases) {
+  FlatWeightRows rows;
+  rows.Build(2, nullptr, [](NodeId v, auto emit) {
+    if (v == 0) {
+      emit(1, 3.0);
+      emit(4, 5.0);
+    }
+  });
+  const auto sum_of = [](std::vector<double> weights) {
+    FlatWeightRows::KeySum sum;
+    for (const double w : weights) sum.Add(w);
+    return sum;
+  };
+  // An overwrite, an insert (the sub-tolerance first weight skipped), an
+  // erase (the sum cancels), and an absent key that stays absent.
+  rows.Assign(0, 4, sum_of({2.0, 0.5}));
+  rows.Assign(0, 2, sum_of({1e-13, 7.0}));
+  rows.Assign(0, 1, sum_of({1.0, -1.0}));
+  rows.Assign(1, 3, sum_of({}));
+  ExpectRowEquals(rows, 0, {{2, 7.0}, {4, 2.5}});
+  ExpectRowEquals(rows, 1, {});
+  ExpectAccountingConsistent(rows, 2);
 }
 
 TEST(EpochScratchTest, SlotsResetLogicallyAcrossEpochs) {
