@@ -2,13 +2,14 @@
 //
 // Run mode executes registered perf scenarios (steady-clock timing with
 // warmup/repeat and median/MAD stats, peak-RSS sampling) and either prints
-// human tables or, with --json, writes one schema-versioned artifact per
-// scenario group: BENCH_coloring.json, BENCH_pipelines.json,
-// BENCH_serving.json, and BENCH_flow.json.
+// human tables (with each scenario's detail table and counters, e.g. a
+// paper/ figure) or, with --json, writes one schema-versioned artifact per
+// scenario group, BENCH_<group>.json.
 //
 //   qsc_bench --list
 //   qsc_bench --suite smoke --json          # the CI benchmark job
 //   qsc_bench --scenario coloring/rothko-ba-100k-c256 --repeats 9
+//   qsc_bench --scenario paper/fig3-lp-example
 //
 // Compare mode gates a fresh run against a committed baseline: counters
 // must match exactly, medians within a noise tolerance.
@@ -16,6 +17,9 @@
 //   qsc_bench --compare bench/baselines/BENCH_coloring.json
 //             BENCH_coloring.json --tolerance 2.0   (one command line)
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,8 +45,9 @@ void PrintUsage(FILE* out) {
       "  --suite=smoke|full     scenario selection (default smoke)\n"
       "  --scenario=NAME        run NAME (repeatable; overrides --suite)\n"
       "  --seed=N               uint64 instance seed (default 1)\n"
-      "  --threads=N            worker threads (counters are identical for\n"
-      "                         any N; only timings change; default 1)\n"
+      "  --threads=N            worker threads, 1..1024 (counters are\n"
+      "                         identical for any N; only timings change;\n"
+      "                         default 1)\n"
       "  --warmup=N             un-timed runs per scenario (default 1)\n"
       "  --repeats=N            timed runs per scenario (default 5)\n"
       "  --json                 write BENCH_<group>.json artifacts\n"
@@ -52,8 +57,10 @@ void PrintUsage(FILE* out) {
       "  --compare BASE CURRENT gate CURRENT against committed BASE\n"
       "  --compare-counters A B gate counter identity only (no timings;\n"
       "                         scenario sets must match exactly)\n"
-      "  --tolerance=X          max median slowdown (default 2.0)\n"
-      "  --min-median=S         timing-gate floor in seconds (default 0.01)\n"
+      "  --tolerance=X          max median slowdown, finite >= 1\n"
+      "                         (default 2.0)\n"
+      "  --min-median=S         timing-gate floor in seconds, finite >= 0\n"
+      "                         (default 0.01)\n"
       "flags accept both --flag=value and --flag value forms\n");
 }
 
@@ -78,23 +85,33 @@ bool MatchFlag(int argc, char** argv, int* i, const char* name,
   return false;
 }
 
-int64_t ParseInt(const std::string& value, const char* flag) {
+// A typo'd --threads must not ask the OS for millions of threads.
+constexpr int kMaxThreads = 1024;
+
+// Parses an integer in [lo, hi]; exits 2 on anything else (out-of-range
+// values are rejected, never truncated to int).
+int ParseInt(const std::string& value, const char* flag, int lo, int hi) {
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0') {
-    std::fprintf(stderr, "qsc_bench: bad %s value '%s'\n", flag,
-                 value.c_str());
+  if (value.empty() || *end != '\0' || errno == ERANGE || parsed < lo ||
+      parsed > hi) {
+    std::fprintf(stderr, "qsc_bench: bad %s value '%s' (want %d..%d)\n",
+                 flag, value.c_str(), lo, hi);
     std::exit(2);
   }
-  return parsed;
+  return static_cast<int>(parsed);
 }
 
-double ParseDouble(const std::string& value, const char* flag) {
+// Parses a finite double >= lo; exits 2 on anything else. NaN or inf
+// would silently switch the timing gate off.
+double ParseDouble(const std::string& value, const char* flag, double lo) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || *end != '\0') {
-    std::fprintf(stderr, "qsc_bench: bad %s value '%s'\n", flag,
-                 value.c_str());
+  if (value.empty() || *end != '\0' || !std::isfinite(parsed) ||
+      parsed < lo) {
+    std::fprintf(stderr, "qsc_bench: bad %s value '%s' (want finite >= %g)\n",
+                 flag, value.c_str(), lo);
     std::exit(2);
   }
   return parsed;
@@ -189,29 +206,18 @@ int Main(int argc, char** argv) {
         return 2;
       }
     } else if (MatchFlag(argc, argv, &i, "--threads", &value)) {
-      context.threads = static_cast<int>(ParseInt(value, "--threads"));
-      if (context.threads < 1) {
-        std::fprintf(stderr, "qsc_bench: --threads must be >= 1\n");
-        return 2;
-      }
+      context.threads = ParseInt(value, "--threads", 1, kMaxThreads);
     } else if (MatchFlag(argc, argv, &i, "--warmup", &value)) {
-      context.measure.warmup = static_cast<int>(ParseInt(value, "--warmup"));
-      if (context.measure.warmup < 0) {
-        std::fprintf(stderr, "qsc_bench: --warmup must be >= 0\n");
-        return 2;
-      }
+      context.measure.warmup = ParseInt(value, "--warmup", 0, INT_MAX);
     } else if (MatchFlag(argc, argv, &i, "--repeats", &value)) {
-      context.measure.repeats = static_cast<int>(ParseInt(value, "--repeats"));
-      if (context.measure.repeats < 1) {
-        std::fprintf(stderr, "qsc_bench: --repeats must be >= 1\n");
-        return 2;
-      }
+      context.measure.repeats = ParseInt(value, "--repeats", 1, INT_MAX);
     } else if (MatchFlag(argc, argv, &i, "--out-dir", &value)) {
       out_dir = value;
     } else if (MatchFlag(argc, argv, &i, "--tolerance", &value)) {
-      compare_options.max_slowdown = ParseDouble(value, "--tolerance");
+      compare_options.max_slowdown = ParseDouble(value, "--tolerance", 1.0);
     } else if (MatchFlag(argc, argv, &i, "--min-median", &value)) {
-      compare_options.min_median_seconds = ParseDouble(value, "--min-median");
+      compare_options.min_median_seconds =
+          ParseDouble(value, "--min-median", 0.0);
     } else {
       std::fprintf(stderr, "qsc_bench: unknown argument '%s'\n", arg);
       PrintUsage(stderr);
@@ -298,6 +304,9 @@ int Main(int argc, char** argv) {
       TablePrinter detail(r.table_header);
       for (const auto& row : r.table_rows) detail.AddRow(row);
       detail.Print(stdout);
+      for (const auto& [name, value] : r.counters) {
+        std::printf("%s = %.6g\n", name.c_str(), value);
+      }
       std::printf("\n");
     }
   }

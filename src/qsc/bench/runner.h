@@ -22,6 +22,10 @@ struct MeasureOptions {
   int repeats = 5;
 };
 
+// One timed run, no warmup: for scenarios whose single pass is long
+// enough (exact oracles, many colorings) that repeats only slow CI.
+inline constexpr MeasureOptions kSingleShot{/*warmup=*/0, /*repeats=*/1};
+
 struct Measurement {
   SampleStats seconds;  // per-repeat wall-clock seconds (steady clock)
   // Growth of the process resident high-water mark across the whole

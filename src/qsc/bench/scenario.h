@@ -54,8 +54,8 @@ struct ScenarioResult {
   // the comparator only inspects params/counters/timing.
   std::vector<std::pair<std::string, double>> gauges;
 
-  // Optional human-readable detail (per-dataset rows for the fig7-style
-  // scenarios). Printed by the table frontends, never serialized.
+  // Optional human-readable detail (the figure or table of a paper/
+  // scenario). Printed by qsc_bench's human mode, never serialized.
   std::vector<std::string> table_header;
   std::vector<std::vector<std::string>> table_rows;
 };
@@ -65,7 +65,7 @@ class Scenario {
  public:
   struct Info {
     std::string name;   // "<group>/<scenario>", e.g. "coloring/rothko-ba-10k"
-    std::string group;  // "coloring" | "pipelines" | "serving"
+    std::string group;  // "coloring", "pipelines", "paper", ...
     std::string description;
     // Part of the fast CI suite (--suite=smoke). Full-only scenarios run
     // with --suite=full or by name.
@@ -109,8 +109,8 @@ class ScenarioRegistry {
 
 // Registers the builtin perf scenarios (scenarios.cc): Rothko refinement
 // on Barabási–Albert / Erdős–Rényi / segmentation-grid graphs at 10k-200k
-// nodes, the end-to-end eval pipelines, the fig7 dataset sweeps, and the
-// serving load scenarios. Idempotent; call before Find()/List().
+// nodes, the end-to-end eval pipelines, and every group below.
+// Idempotent; call before Find()/List().
 void RegisterBuiltinScenarios();
 
 // The "serving" group (scenarios_serving.cc): seeded workload traces
@@ -133,6 +133,12 @@ void RegisterBackendScenarios();
 // recompute, with the incremental-vs-scratch q-error drift gated at
 // exactly zero. Called by RegisterBuiltinScenarios().
 void RegisterDynamicScenarios();
+
+// The "paper" group (scenarios_paper.cc): one single-shot scenario per
+// figure or table of the paper's Section 6 (docs/REPRODUCING.md), each
+// filling table_header/table_rows with that figure's table. Called by
+// RegisterBuiltinScenarios().
+void RegisterPaperScenarios();
 
 }  // namespace bench
 }  // namespace qsc

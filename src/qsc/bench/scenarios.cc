@@ -1,13 +1,14 @@
 // Builtin perf scenarios (see docs/BENCHMARKING.md for the registry
-// contract). Four groups:
+// contract). Four groups, plus "backends", "dynamic" and "paper"
+// (scenarios_{backends,dynamic,paper}.cc):
 //
 //  - "coloring": the refiner and its kernels on synthetic graphs at
 //    10k-200k nodes. The headline scenario is rothko-ba-100k-c256 —
 //    Rothko refinement of a 100k-node scale-free graph to 256 colors —
 //    whose baseline records the flat sparse-row speedup.
 //  - "pipelines": end-to-end instance -> coloring -> solve -> error runs
-//    through qsc/eval, plus the solver kernels and the fig7 dataset
-//    sweeps (single-shot paper reproductions at their canonical seeds).
+//    through qsc/eval, plus the solver kernels and the Compressor
+//    session-amortization scenarios.
 //  - "serving": workload traces replayed against a Compressor session by
 //    the qsc/workload load runner (scenarios_serving.cc).
 //  - "flow": the max-flow solvers on the CSR ResidualNetwork, straight
@@ -35,7 +36,6 @@
 #include "qsc/coloring/reduced_graph.h"
 #include "qsc/coloring/rothko.h"
 #include "qsc/coloring/stable.h"
-#include "qsc/eval/pipelines.h"
 #include "qsc/eval/suites.h"
 #include "qsc/eval/workload.h"
 #include "qsc/flow/push_relabel.h"
@@ -45,8 +45,6 @@
 #include "qsc/parallel/thread_pool.h"
 #include "qsc/util/check.h"
 #include "qsc/util/random.h"
-#include "qsc/util/stats.h"
-#include "qsc/util/table.h"
 
 namespace qsc {
 namespace bench {
@@ -296,153 +294,6 @@ void RegisterEvalPipeline(const char* name, bool smoke,
                 {BudgetKey(m.color_budget, "rel_err"), m.relative_error});
           }
         }
-        return r;
-      }));
-}
-
-// --- fig7 dataset sweeps -------------------------------------------------
-//
-// Single-shot reproductions of the paper's Figure 7 (one pass over the
-// Table 2/3 dataset suites at their canonical baked-in seeds; the exact
-// oracles dominate, so warmup/repeats are pinned to 0/1). They fill the
-// human-readable table consumed by the bench_fig7_* frontends.
-
-constexpr MeasureOptions kSingleShot{/*warmup=*/0, /*repeats=*/1};
-
-void RegisterFig7MaxFlow() {
-  Scenario::Info info;
-  info.name = "pipelines/fig7-maxflow";
-  info.group = "pipelines";
-  info.description =
-      "Figure 7(a): max-flow speed-accuracy sweep over the Table-2 flow "
-      "suite; single-shot, canonical seeds";
-  info.smoke = false;
-  ScenarioRegistry::Global().Register(Scenario(
-      std::move(info), [](const BenchContext&) {
-        ScenarioResult r;
-        r.table_header = {"dataset", "exact flow", "exact time", "colors",
-                          "approx",  "rel.err",    "time",       "% of exact"};
-        const eval::EvalOptions options;  // push-relabel oracle
-        const std::vector<ColorId> budgets{5, 10, 20, 35};
-        std::vector<double> errors_at_budget;
-        r.timing = MeasureSeconds(kSingleShot, [&] {
-          r.table_rows.clear();
-          r.counters.clear();
-          errors_at_budget.clear();
-          for (const auto& dataset : eval::FlowSuite()) {
-            const auto runs =
-                eval::RunMaxFlowPipeline(dataset.instance, options, budgets);
-            for (const eval::RunMetrics& m : runs) {
-              if (m.color_budget == 35) {
-                errors_at_budget.push_back(m.relative_error);
-                r.counters.push_back(
-                    {dataset.name + "_b35_rel_err", m.relative_error});
-              }
-              r.table_rows.push_back(
-                  {dataset.name, FormatDouble(m.exact_value, 0),
-                   FormatSeconds(m.exact_seconds),
-                   std::to_string(m.color_budget),
-                   FormatDouble(m.approx_value, 0),
-                   FormatDouble(m.relative_error, 3),
-                   FormatSeconds(m.approx_seconds),
-                   FormatDouble(100.0 * m.approx_seconds / m.exact_seconds,
-                                1)});
-            }
-          }
-          r.counters.push_back(
-              {"geomean_rel_err_b35", GeometricMean(errors_at_budget)});
-        });
-        return r;
-      }));
-}
-
-void RegisterFig7Lp() {
-  Scenario::Info info;
-  info.name = "pipelines/fig7-lp";
-  info.group = "pipelines";
-  info.description =
-      "Figure 7(b): LP speed-accuracy sweep over the Table-3 LP suite; "
-      "single-shot, canonical seeds";
-  info.smoke = false;
-  ScenarioRegistry::Global().Register(Scenario(
-      std::move(info), [](const BenchContext&) {
-        ScenarioResult r;
-        r.table_header = {"dataset", "exact obj", "exact time", "colors",
-                          "approx obj", "rel.err", "time", "% of exact"};
-        const eval::EvalOptions options;  // interior-point oracle
-        const std::vector<ColorId> budgets{10, 25, 50, 100};
-        std::vector<double> errors_at_100;
-        r.timing = MeasureSeconds(kSingleShot, [&] {
-          r.table_rows.clear();
-          r.counters.clear();
-          errors_at_100.clear();
-          for (const auto& dataset : eval::LpSuite()) {
-            const auto runs = eval::RunLpPipeline(dataset.lp, options, budgets);
-            for (const eval::RunMetrics& m : runs) {
-              if (m.color_budget == 100) {
-                errors_at_100.push_back(m.relative_error);
-                r.counters.push_back(
-                    {dataset.name + "_b100_rel_err", m.relative_error});
-              }
-              r.table_rows.push_back(
-                  {dataset.name, FormatDouble(m.exact_value, 1),
-                   FormatSeconds(m.exact_seconds),
-                   std::to_string(m.color_budget),
-                   FormatDouble(m.approx_value, 1),
-                   FormatDouble(m.relative_error, 3),
-                   FormatSeconds(m.approx_seconds),
-                   FormatDouble(100.0 * m.approx_seconds / m.exact_seconds,
-                                2)});
-            }
-          }
-          r.counters.push_back(
-              {"geomean_rel_err_b100", GeometricMean(errors_at_100)});
-        });
-        return r;
-      }));
-}
-
-void RegisterFig7Centrality() {
-  Scenario::Info info;
-  info.name = "pipelines/fig7-centrality";
-  info.group = "pipelines";
-  info.description =
-      "Figure 7(c): betweenness-centrality sweep over the Table-2 "
-      "centrality suite; single-shot, canonical seeds";
-  info.smoke = false;
-  ScenarioRegistry::Global().Register(Scenario(
-      std::move(info), [](const BenchContext&) {
-        ScenarioResult r;
-        r.table_header = {"dataset", "exact time", "colors",
-                          "spearman", "time",       "% of exact"};
-        eval::EvalOptions options;
-        options.seed = 17;  // pivot-sampling seed (matches the fig7 binary)
-        const std::vector<ColorId> budgets{10, 25, 50, 100};
-        std::vector<double> rho_at_50;
-        r.timing = MeasureSeconds(kSingleShot, [&] {
-          r.table_rows.clear();
-          r.counters.clear();
-          rho_at_50.clear();
-          for (const auto& dataset : eval::CentralityGraphSuite()) {
-            const auto runs = eval::RunCentralityPipeline(dataset.graph,
-                                                          options, budgets);
-            for (const eval::RunMetrics& m : runs) {
-              if (m.color_budget == 50) {
-                rho_at_50.push_back(m.rank_correlation);
-                r.counters.push_back(
-                    {dataset.name + "_b50_rho", m.rank_correlation});
-              }
-              r.table_rows.push_back(
-                  {dataset.name, FormatSeconds(m.exact_seconds),
-                   std::to_string(m.color_budget),
-                   FormatDouble(m.rank_correlation, 3),
-                   FormatSeconds(m.approx_seconds),
-                   FormatDouble(100.0 * m.approx_seconds / m.exact_seconds,
-                                1)});
-            }
-          }
-          r.counters.push_back({"mean_rho_b50", Mean(rho_at_50)});
-        });
         return r;
       }));
 }
@@ -772,9 +623,6 @@ void RegisterBuiltinScenarios() {
         "pipelines/centrality-powerlaw", /*smoke=*/true,
         "end-to-end centrality pipeline on the builtin powerlaw workload",
         "centrality/powerlaw");
-    RegisterFig7MaxFlow();
-    RegisterFig7Lp();
-    RegisterFig7Centrality();
     RegisterSolverKernels();
     RegisterCompressorBatchFlow();
     RegisterCompressorColdFlow();
@@ -784,6 +632,7 @@ void RegisterBuiltinScenarios() {
     RegisterFlowScenarios();
     RegisterBackendScenarios();
     RegisterDynamicScenarios();
+    RegisterPaperScenarios();
     return true;
   }();
   (void)registered;

@@ -1,12 +1,13 @@
 // The three "graph -> coloring -> application -> error vs. exact"
-// pipeline drivers shared by Workload::Run, the bench binaries, and the
-// differential layer. Each driver times the exact oracle once, then sweeps
-// the coloring approximation over ascending color budgets through one
-// qsc::Compressor session, so each budget *continues* the cached coloring
-// (bit-identical to a fresh run per budget — the anytime property).
-// approx_seconds is the incremental session cost of one budget (resume
-// coloring + reduction + solve), comparable across areas; the sweep total
-// is the compress-once-query-many cost of serving every budget.
+// pipeline drivers shared by Workload::Run, qsc_bench's paper/ scenarios,
+// and the differential layer. Each driver times the exact oracle once,
+// then sweeps the coloring approximation over ascending color budgets
+// through one qsc::Compressor session, so each budget *continues* the
+// cached coloring (bit-identical to a fresh run per budget — the anytime
+// property). approx_seconds is the incremental session cost of one budget
+// (resume coloring + reduction + solve), comparable across areas; the
+// sweep total is the compress-once-query-many cost of serving every
+// budget.
 
 #ifndef QSC_EVAL_PIPELINES_H_
 #define QSC_EVAL_PIPELINES_H_

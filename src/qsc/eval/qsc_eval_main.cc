@@ -35,6 +35,9 @@ namespace {
 constexpr const char* kDefaultWorkloads[] = {"maxflow/seg-grid", "lp/qap",
                                              "centrality/powerlaw"};
 
+// A typo'd --threads must not ask the OS for millions of threads.
+constexpr int kMaxThreads = 1024;
+
 void PrintUsage(FILE* out) {
   std::fprintf(
       out,
@@ -51,8 +54,8 @@ void PrintUsage(FILE* out) {
       "                         names; default: rothko). Each backend runs\n"
       "                         every selected workload and gets its own\n"
       "                         Pareto front in the output\n"
-      "  --threads=N            worker threads (metrics are identical for\n"
-      "                         any N; default 1)\n"
+      "  --threads=N            worker threads, 1..1024 (metrics are\n"
+      "                         identical for any N; default 1)\n"
       "  --flow-lower-bound     also compute the Theorem-6 c^1 bound\n"
       "  --check                run the differential invariant suite too\n"
       "  --compact              single-line JSON (default: pretty)\n",
@@ -211,8 +214,12 @@ int Main(int argc, char** argv) {
     } else if (ParseFlag(arg, "--threads", &value)) {
       char* end = nullptr;
       const long threads = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || threads < 1) {
-        std::fprintf(stderr, "qsc_eval: bad --threads '%s'\n", value.c_str());
+      // Checked before the pool is sized: out-of-range values are
+      // rejected, never truncated to int.
+      if (value.empty() || *end != '\0' || threads < 1 ||
+          threads > kMaxThreads) {
+        std::fprintf(stderr, "qsc_eval: bad --threads '%s' (want 1..%d)\n",
+                     value.c_str(), kMaxThreads);
         return 2;
       }
       SetDefaultPoolThreads(static_cast<int>(threads));

@@ -1,8 +1,9 @@
 // Named instance suites and the builtin workload registrations.
 //
 // The *suites* are the stand-ins for the paper's Table 2/3 datasets (see
-// DESIGN.md §3), generated at their canonical seeds; the bench binaries
-// draw their instances from here so the experiment index stays consistent.
+// DESIGN.md §3), generated at their canonical seeds; qsc_bench's paper/
+// scenarios draw their instances from here so the experiment index stays
+// consistent.
 // The *builtin workloads* are smaller seeded scenarios registered with the
 // WorkloadRegistry for the qsc_eval CLI and the differential test layer —
 // one or more per application area, fast enough to run in CI.

@@ -166,7 +166,7 @@ TEST(PipelineTest, SortsAndDeduplicatesBudgets) {
 
 TEST(SuitesTest, DatasetSuitesMatchTheBenchIndex) {
   // The bench experiment index (names + paper names) must stay stable;
-  // bench/workloads.h re-exports these.
+  // the paper/ scenarios of qsc_bench draw their instances from these.
   const auto general = GeneralGraphSuite();
   ASSERT_EQ(general.size(), 3u);
   EXPECT_EQ(general[0].name, "karate");
