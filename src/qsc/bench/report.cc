@@ -73,6 +73,19 @@ std::string ReportGroupJson(const BenchReport& report,
   w.KV("seed", report.seed);
   w.KV("warmup", static_cast<int64_t>(report.measure.warmup));
   w.KV("repeats", static_cast<int64_t>(report.measure.repeats));
+  // The scenarios that ignored the requested warmup/repeats and ran once.
+  w.Key("single_shot");
+  w.BeginArray();
+  for (const ScenarioResult* r : selected) {
+    const MeasureOptions& ran = r->timing.protocol;
+    if (ran.warmup == kSingleShot.warmup &&
+        ran.repeats == kSingleShot.repeats &&
+        (ran.warmup != report.measure.warmup ||
+         ran.repeats != report.measure.repeats)) {
+      w.Value(r->name);
+    }
+  }
+  w.EndArray();
   w.KV("threads", static_cast<int64_t>(report.threads));
   w.Key("scenarios");
   w.BeginArray();

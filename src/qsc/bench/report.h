@@ -12,6 +12,7 @@
 //     "seed": 1,
 //     "warmup": 1,
 //     "repeats": 5,
+//     "single_shot": ["pipelines/compressor-cold-flow", ...],
 //     "threads": 1,
 //     "scenarios": [
 //       {
@@ -25,8 +26,11 @@
 //     ]
 //   }
 //
-// "params" and "counters" are functions of (scenario, seed) and compare
-// exactly across runs; "timing" and "peak_rss_mib" are machine-dependent.
+// "warmup" and "repeats" are the requested protocol; "single_shot" names
+// the scenarios that ran once with no warmup instead (kSingleShot), whose
+// "timing.repeats" is 1. "params" and "counters" are functions of
+// (scenario, seed) and compare exactly across runs; "timing" and
+// "peak_rss_mib" are machine-dependent.
 // Doubles render via eval::JsonNumber, so equal values are textually equal.
 
 #ifndef QSC_BENCH_REPORT_H_

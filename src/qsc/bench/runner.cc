@@ -74,6 +74,7 @@ Measurement MeasureSeconds(const MeasureOptions& options,
   }
   Measurement m;
   m.seconds = Summarize(std::move(samples));
+  m.protocol = options;
   return m;
 }
 

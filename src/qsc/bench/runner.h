@@ -28,6 +28,9 @@ inline constexpr MeasureOptions kSingleShot{/*warmup=*/0, /*repeats=*/1};
 
 struct Measurement {
   SampleStats seconds;  // per-repeat wall-clock seconds (steady clock)
+  // The protocol the samples were taken under: the CLI's --warmup and
+  // --repeats, or a scenario's own (kSingleShot).
+  MeasureOptions protocol;
   // Growth of the process resident high-water mark across the whole
   // scenario (setup included), in MiB; filled in by Scenario::Run. 0 when
   // the scenario stayed under an earlier scenario's peak, or when the

@@ -251,6 +251,20 @@ class FlatWeightRows {
   // lives in one place.
   void Subtract(NodeId v, ColorId key, double w) { Add(v, key, -w); }
 
+  // One entry of a row around a mutation: whether it was present before
+  // (`had`) and after (`has`), and its weight then (0.0 when absent).
+  struct EntryChange {
+    bool had = false;
+    bool has = false;
+    double before = 0.0;
+    double after = 0.0;
+  };
+  // What a Move did to the row's `from` and `to` entries.
+  struct MoveResult {
+    EntryChange from;
+    EntryChange to;
+  };
+
   // Moves weight `w` of row `v` from key `from` to key `to`: bit for bit
   // Subtract(v, from, w) then Add(v, to, w), tolerance drops included.
   // `to` must be at least every key of the row (the refiner's newest
@@ -258,8 +272,10 @@ class FlatWeightRows {
   // binary search for `from`, and an O(1) tail check for `to`. Both sums
   // are evaluated before the row's layout changes (they touch distinct
   // entries, so the order of the two steps does not matter to them), and
-  // the row relocates only when its final size outgrows its slot.
-  void Move(NodeId v, ColorId from, ColorId to, double w) {
+  // the row relocates only when its final size outgrows its slot. Returns
+  // both entries before and after the move (what Find reports then), from
+  // which the refiner updates its pair aggregates.
+  MoveResult Move(NodeId v, ColorId from, ColorId to, double w) {
     QSC_DCHECK(from < to);
     const Slot& s = slots_[v];
     const int32_t size = s.size;
@@ -284,6 +300,11 @@ class FlatWeightRows {
       to_w = weights[size - 1] + w;
       keep_to = !Dropped(to_w);
     }
+    MoveResult result;
+    result.from = {has_from, keep_from, has_from ? weights[i] : 0.0,
+                   keep_from ? from_w : 0.0};
+    result.to = {has_to, keep_to, has_to ? weights[size - 1] : 0.0,
+                 keep_to ? to_w : 0.0};
     const int32_t new_below =
         below_to + (keep_from ? 1 : 0) - (has_from ? 1 : 0);
     const int32_t new_size = new_below + (keep_to ? 1 : 0);
@@ -307,6 +328,7 @@ class FlatWeightRows {
     }
     stats_.live += new_size - size;
     slots_[v].size = new_size;
+    return result;
   }
 
   // Repacks every row into a fresh arena in row order, as Build lays
@@ -580,6 +602,10 @@ class EpochScratch {
   }
 
   const T& At(ColorId key) const {
+    QSC_DCHECK(Contains(key));
+    return slots_[key];
+  }
+  T& At(ColorId key) {
     QSC_DCHECK(Contains(key));
     return slots_[key];
   }

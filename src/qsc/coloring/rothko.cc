@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <queue>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -37,6 +39,7 @@ class RothkoRefiner::Impl {
         directed_(!g.undirected()) {
     QSC_CHECK_EQ(g.num_nodes(), partition_.num_nodes());
     BuildDegreeRows();
+    touch_slot_.assign(static_cast<size_t>(g.num_nodes()), -1);
     out_agg_.resize(partition_.num_colors());
     if (directed_) in_agg_.resize(partition_.num_colors());
     GrowScratch();
@@ -63,6 +66,7 @@ class RothkoRefiner::Impl {
       if (!PeekValid(raw_heap_, &raw_top)) break;
       if (raw_top.priority <= pre_step_error) break;
     }
+    SettleRawTop();
     return true;
   }
 
@@ -70,19 +74,38 @@ class RothkoRefiner::Impl {
     while (partition_.num_colors() < options_.max_colors &&
            Step(options_.max_colors)) {
     }
+    ReleaseTouchList();
   }
+
+  // The touch list holds one entry per row a split touched; it is freed
+  // at the end of each public Step() and Run(), so a cached refiner does
+  // not keep it.
+  void ReleaseTouchList() { std::vector<TouchedRow>().swap(touched_); }
 
   const Partition& partition() const { return partition_; }
 
+  // Every public mutating call ends with SettleRawTop(), so the raw heap's
+  // first current entry is exact and this only pops stale entries.
   double CurrentMaxError() const {
-    HeapEntry top;
-    if (!PeekValid(raw_heap_, &top)) return 0.0;
-    return top.priority;
+    while (!raw_heap_.empty()) {
+      const PairAgg* agg = CurrentAgg(raw_heap_.top());
+      if (agg != nullptr) {
+        QSC_DCHECK(!IsLoose(*agg));
+        return raw_heap_.top().priority;
+      }
+      raw_heap_.pop();
+    }
+    return 0.0;
   }
 
   const std::vector<RothkoStep>& history() const { return history_; }
 
   const RothkoPatchStats& last_patch() const { return patch_; }
+
+  const RothkoSplitStats& split_stats() const { return split_stats_; }
+
+  void set_audit(bool on) { audit_ = on; }
+  const std::string& audit_failure() const { return audit_failure_; }
 
   bool PatchGraph(const GraphView& g, const std::vector<EditedArc>& arcs) {
     QSC_CHECK_EQ(g.num_nodes(), partition_.num_nodes());
@@ -115,6 +138,7 @@ class RothkoRefiner::Impl {
     }
     patch_.heap_entries = HeapEntries();
     patch_.live_pairs = live_aggs_;
+    SettleRawTop();
     return true;
   }
 
@@ -148,15 +172,14 @@ class RothkoRefiner::Impl {
         (weighted_heap_.size() + raw_heap_.size()) * sizeof(HeapEntry));
     bytes += static_cast<int64_t>(row_keys_.capacity() * sizeof(RowKey) +
                                   changes_.capacity() * sizeof(MemberChange));
-    bytes += agg_scratch_.MemoryBytes() + out_affected_.MemoryBytes() +
-             in_affected_.MemoryBytes();
+    bytes += agg_scratch_.MemoryBytes() + pair_updates_.MemoryBytes();
     bytes += static_cast<int64_t>(
         sorted_keys_.capacity() * sizeof(ColorId) +
         split_values_.capacity() * sizeof(double) +
         eject_.capacity() * sizeof(NodeId) +
-        affected_scratch_.capacity() * sizeof(ColorId) +
+        touch_slot_.capacity() * sizeof(int32_t) +
+        touched_.capacity() * sizeof(TouchedRow) +
         moves_.capacity() * sizeof(NeighborEntry) +
-        score_scratch_.capacity() * sizeof(SplitPairScore) +
         history_.capacity() * sizeof(RothkoStep));
     return bytes;
   }
@@ -164,12 +187,16 @@ class RothkoRefiner::Impl {
  private:
   // Max/min/presence-count of the witness degrees for one ordered color
   // pair in one direction, with the number of members holding each
-  // extreme (what lets PatchGraph drop a member's old value without a
-  // rescan). `version` identifies the generation; heap entries carrying an
-  // older version are stale.
+  // extreme (what lets a split or a patch drop a member's old value
+  // without a rescan). An extreme with no holder is stale: it still bounds
+  // the members' values, and the aggregate is loose (IsLoose). `factor`
+  // is the size weight the last push priced the pair with. `version`
+  // identifies the generation; heap entries carrying an older version are
+  // stale.
   struct PairAgg {
     double max_w = 0.0;
     double min_w = 0.0;
+    double factor = 1.0;
     int64_t count = 0;
     int32_t max_count = 0;
     int32_t min_count = 0;
@@ -214,6 +241,27 @@ class RothkoRefiner::Impl {
     return &it->agg;
   }
 
+  static bool IsLoose(const PairAgg& agg) {
+    return agg.count > 0 && (agg.max_count == 0 || agg.min_count == 0);
+  }
+
+  // The fixed color of a heap entry's aggregate row (the color whose
+  // members it aggregates), and the other color, its key in that row.
+  static ColorId RowColor(const HeapEntry& e) {
+    return e.direction == 0 ? e.src : e.dst;
+  }
+  static ColorId RowKeyOf(const HeapEntry& e) {
+    return e.direction == 0 ? e.dst : e.src;
+  }
+
+  // The aggregate `e` was pushed for, or nullptr if `e` is stale.
+  const PairAgg* CurrentAgg(const HeapEntry& e) const {
+    const AggRow& row =
+        e.direction == 0 ? out_agg_[RowColor(e)] : in_agg_[RowColor(e)];
+    const PairAgg* agg = FindAgg(row, RowKeyOf(e));
+    return agg != nullptr && agg->version == e.version ? agg : nullptr;
+  }
+
   // Row u of out_deg_ receives u's out-arcs in CSR order, and row v of
   // in_deg_ receives its in-arcs in the order of the reference's single
   // pass over the out-CSR: ascending source, then arc order. Both
@@ -241,8 +289,7 @@ class RothkoRefiner::Impl {
 
   void GrowScratch() {
     agg_scratch_.Grow(partition_.num_colors());
-    out_affected_.Grow(partition_.num_colors());
-    if (directed_) in_affected_.Grow(partition_.num_colors());
+    pair_updates_.Grow(partition_.num_colors());
   }
 
   // Spread of witness degrees, extending absent members as weight 0.
@@ -256,7 +303,8 @@ class RothkoRefiner::Impl {
     return hi - lo;
   }
 
-  double WeightedPriority(double err, ColorId src, ColorId dst) const {
+  // |P_src|^alpha |P_dst|^beta at the current color sizes.
+  double SizeFactor(ColorId src, ColorId dst) const {
     double c = 1.0;
     if (options_.alpha != 0.0) {
       c *= std::pow(static_cast<double>(partition_.ColorSize(src)),
@@ -266,17 +314,25 @@ class RothkoRefiner::Impl {
       c *= std::pow(static_cast<double>(partition_.ColorSize(dst)),
                     options_.beta);
     }
-    return err * c;
+    return c;
   }
 
-  void PushEntries(ColorId src, ColorId dst, uint8_t direction,
-                   const PairAgg& agg) {
+  // Pushes the pair's witness entries, weighted by `agg.factor`.
+  void PushPriced(ColorId src, ColorId dst, uint8_t direction,
+                  const PairAgg& agg) {
     const ColorId stats_color = direction == 0 ? src : dst;
     const double err = EffectiveError(agg, partition_.ColorSize(stats_color));
     if (err <= 0.0) return;
-    weighted_heap_.push(
-        {WeightedPriority(err, src, dst), src, dst, direction, agg.version});
+    weighted_heap_.push({err * agg.factor, src, dst, direction, agg.version});
     raw_heap_.push({err, src, dst, direction, agg.version});
+  }
+
+  // Prices the pair with the current color sizes, records that factor in
+  // `agg` and pushes its entries.
+  void PushEntries(ColorId src, ColorId dst, uint8_t direction,
+                   PairAgg& agg) {
+    agg.factor = SizeFactor(src, dst);
+    PushPriced(src, dst, direction, agg);
   }
 
   // Accumulates the members' rows of `deg` into agg_scratch_ and rebuilds
@@ -305,10 +361,10 @@ class RothkoRefiner::Impl {
     for (const ColorId other : sorted_keys_) {
       PairAgg agg = agg_scratch_.At(other);
       agg.version = ++version_counter_;
-      aggs.push_back({other, agg});
       const ColorId src = source_side ? c : other;
       const ColorId dst = source_side ? other : c;
       PushEntries(src, dst, direction, agg);
+      aggs.push_back({other, agg});
     }
   }
 
@@ -330,8 +386,7 @@ class RothkoRefiner::Impl {
   // extreme. Also exact after RemoveWeight took an extreme's last holder
   // (its count is then 0 and its value stale): a weight beyond the stale
   // value becomes the extreme and one equal to it holds it again; only a
-  // weight inside leaves the count at 0, which PatchGraph resolves by a
-  // rescan.
+  // weight inside leaves the count at 0 (the aggregate stays loose).
   static void MergeWeight(PairAgg& agg, double w) {
     if (agg.count == 0) {
       agg.max_w = agg.min_w = w;
@@ -361,14 +416,12 @@ class RothkoRefiner::Impl {
 
   // The aggregate of color c's members toward `key` in `deg`, from
   // scratch.
-  PairAgg RescanPair(ColorId c, ColorId key, const FlatWeightRows& deg) {
+  PairAgg RescanPair(ColorId c, ColorId key, const FlatWeightRows& deg) const {
     PairAgg agg;
     for (const NodeId v : partition_.Members(c)) {
       const double* w = deg.Find(v, key);
       if (w != nullptr) MergeWeight(agg, *w);
     }
-    ++patch_.rescans;
-    patch_.rescanned_members += partition_.ColorSize(c);
     return agg;
   }
 
@@ -434,8 +487,10 @@ class RothkoRefiner::Impl {
       for (size_t k = i; k < end; ++k) {
         if (changes_[k].has_new) MergeWeight(agg, changes_[k].new_w);
       }
-      if (agg.count > 0 && (agg.max_count == 0 || agg.min_count == 0)) {
+      if (IsLoose(agg)) {
         agg = RescanPair(pair.node, pair.key, out ? out_deg_ : in_deg_);
+        ++patch_.rescans;
+        patch_.rescanned_members += partition_.ColorSize(pair.node);
       }
       ++patch_.pairs;
       StoreAndPush(pair.node, pair.key, agg, aggs, /*source_side=*/out,
@@ -455,11 +510,11 @@ class RothkoRefiner::Impl {
     weighted_heap_ = std::priority_queue<HeapEntry>();
     raw_heap_ = std::priority_queue<HeapEntry>();
     for (ColorId c = 0; c < partition_.num_colors(); ++c) {
-      for (const AggEntry& e : out_agg_[c]) {
+      for (AggEntry& e : out_agg_[c]) {
         PushEntries(c, e.key, /*direction=*/0, e.agg);
       }
       if (!directed_) continue;
-      for (const AggEntry& e : in_agg_[c]) {
+      for (AggEntry& e : in_agg_[c]) {
         PushEntries(e.key, c, /*direction=*/1, e.agg);
       }
     }
@@ -479,116 +534,132 @@ class RothkoRefiner::Impl {
       return;
     }
     agg.version = ++version_counter_;
+    const ColorId src = source_side ? c : other;
+    const ColorId dst = source_side ? other : c;
+    PushEntries(src, dst, direction, agg);
     if (present) {
       it->agg = agg;
     } else {
       aggs.insert(it, {other, agg});
       ++live_aggs_;
     }
-    const ColorId src = source_side ? c : other;
-    const ColorId dst = source_side ? other : c;
-    PushEntries(src, dst, direction, agg);
   }
 
-  // The two recomputed aggregates of one affected color: stats over its
-  // members toward the split color and toward the new color.
-  struct SplitPairScore {
-    PairAgg split_agg;
-    PairAgg new_agg;
+  // Per affected color, its pair aggregates toward the two halves while a
+  // split updates them from the touched rows.
+  struct PairUpdate {
+    PairAgg split;       // toward the split color: the stored aggregate
+    PairAgg fresh;       // toward the new color: the touched rows alone
+    int64_t merged = 0;  // new values merged into `split` (for the audit)
+    bool was_loose = false;
   };
 
-  // Scores the two aggregates over members of `c` toward the split halves
-  // in ONE pass over the members' rows (this is the per-split hot loop —
-  // every color adjacent to the split pays it). `new_key` is the
-  // just-created color and therefore the maximum id, so its entry can only
-  // sit at a row's tail: an O(1) check replaces the second binary search.
-  //
-  // Pure with respect to shared state (reads the partition and the degree
-  // rows, writes nothing), so distinct colors score concurrently; the
-  // order-sensitive half — version assignment and heap pushes — lives in
-  // CommitSplitPair, which ParallelOrderedFor serializes in the exact
-  // sequential order.
-  SplitPairScore ScoreSplitPair(ColorId c, ColorId split_key, ColorId new_key,
-                                const FlatWeightRows& deg) const {
-    QSC_DCHECK(new_key + 1 == partition_.num_colors());
-    SplitPairScore score;
-    for (NodeId v : partition_.Members(c)) {
-      const FlatWeightRows::RowView row = deg.RowOf(v);
-      if (row.empty()) continue;
-      const size_t last = row.size() - 1;
-      if (row.key(last) == new_key) {
-        MergeWeight(score.new_agg, row.weight(last));
+  // Updates, after one direction's row moves, every affected color's
+  // aggregates toward the two halves from the rows in touched_ alone, and
+  // empties touched_. Only a touched row can hold a new-color entry, and
+  // an untouched member's split-color entry did not change. Every old
+  // value leaves before any new value joins, so an aggregate whose every
+  // entry is new is rebuilt exactly from them; one whose extreme lost its
+  // last holder to a value inside is left loose for PeekValid. The two
+  // halves are skipped: ApplySplit rebuilds their aggregates.
+  void UpdateAffectedPairs(ColorId split_color, ColorId new_color,
+                           std::vector<AggRow>& aggs, bool source_side,
+                           uint8_t direction) {
+    QSC_DCHECK(new_color + 1 == partition_.num_colors());
+    pair_updates_.NewEpoch();
+    for (const TouchedRow& t : touched_) {
+      const ColorId c = partition_.ColorOf(t.node);
+      if (c == split_color || c == new_color) continue;
+      bool fresh;
+      PairUpdate& u = pair_updates_.Slot(c, &fresh);
+      if (fresh) {
+        if (const PairAgg* found = FindAgg(aggs[c], split_color)) {
+          u.split = *found;
+        }
+        u.was_loose = IsLoose(u.split);
       }
-      const double* w = row.Find(split_key);
-      if (w != nullptr) MergeWeight(score.split_agg, *w);
+      if (t.had_from) RemoveWeight(u.split, t.old_from);
     }
-    return score;
-  }
-
-  void CommitSplitPair(ColorId c, ColorId split_key, ColorId new_key,
-                       const SplitPairScore& score, AggRow& aggs,
-                       bool source_side, uint8_t direction) {
-    StoreAndPush(c, split_key, score.split_agg, aggs, source_side, direction);
-    StoreAndPush(c, new_key, score.new_agg, aggs, source_side, direction);
-  }
-
-  // Recomputes every affected color's aggregates toward the two split
-  // halves: scored in parallel over the pool, committed in list order.
-  void RecomputeAffected(const std::vector<ColorId>& colors,
-                         ColorId split_key, ColorId new_key,
-                         const FlatWeightRows& deg, std::vector<AggRow>& aggs,
-                         bool source_side, uint8_t direction) {
-    score_scratch_.resize(colors.size());
-    ParallelOrderedFor(
-        options_.pool, static_cast<int64_t>(colors.size()),
-        [&](int64_t k) {
-          score_scratch_[k] =
-              ScoreSplitPair(colors[k], split_key, new_key, deg);
-        },
-        [&](int64_t k) {
-          CommitSplitPair(colors[k], split_key, new_key, score_scratch_[k],
-                          aggs[colors[k]], source_side, direction);
-        });
-  }
-
-  // Filters the split halves out of a touched-color list into
-  // affected_scratch_, preserving touch order (the sequential commit
-  // order).
-  void GatherAffected(const std::vector<ColorId>& touched, ColorId split_color,
-                      ColorId new_color) {
-    affected_scratch_.clear();
-    for (const ColorId c : touched) {
-      if (c != split_color && c != new_color) affected_scratch_.push_back(c);
+    for (const TouchedRow& t : touched_) {
+      touch_slot_[t.node] = -1;
+      const ColorId c = partition_.ColorOf(t.node);
+      if (c == split_color || c == new_color) continue;
+      PairUpdate& u = pair_updates_.At(c);
+      if (t.has_from) {
+        MergeWeight(u.split, t.new_from);
+        ++u.merged;
+      }
+      if (t.has_to) MergeWeight(u.fresh, t.new_to);
+    }
+    split_stats_.touched_rows += static_cast<int64_t>(touched_.size());
+    touched_.clear();
+    for (const ColorId c : pair_updates_.touched()) {
+      PairUpdate& u = pair_updates_.At(c);
+      if (IsLoose(u.split)) {
+        if (!u.was_loose) ++split_stats_.loose_pairs;
+        if (audit_ && u.split.count == u.merged) {
+          NoteAuditFailure("pair (" + std::to_string(c) + ", " +
+                           std::to_string(split_color) +
+                           ") is loose though every entry is new");
+        }
+      }
+      StoreAndPush(c, split_color, u.split, aggs[c], source_side, direction);
+      StoreAndPush(c, new_color, u.fresh, aggs[c], source_side, direction);
     }
   }
 
-  // Pops stale entries off `heap` until its top is current; returns false
-  // if the heap drains.
-  bool PeekValid(std::priority_queue<HeapEntry>& heap, HeapEntry* out) const {
+  // Pops stale entries off `heap` and rescans the loose pairs that reach
+  // its top (RescanLoose) until the top is current and exact; returns
+  // false if the heap drains.
+  bool PeekValid(std::priority_queue<HeapEntry>& heap, HeapEntry* out) {
     while (!heap.empty()) {
-      const HeapEntry& top = heap.top();
-      const AggRow& row =
-          top.direction == 0 ? out_agg_[top.src] : in_agg_[top.dst];
-      const ColorId key = top.direction == 0 ? top.dst : top.src;
-      const PairAgg* agg = FindAgg(row, key);
-      if (agg != nullptr && agg->version == top.version) {
+      const HeapEntry top = heap.top();
+      const PairAgg* agg = CurrentAgg(top);
+      if (agg != nullptr && !IsLoose(*agg)) {
         *out = top;
         return true;
       }
       heap.pop();
+      if (agg != nullptr) RescanLoose(top);
     }
     return false;
   }
 
+  // Ensures the raw heap's top is exact, which CurrentMaxError relies on.
+  void SettleRawTop() {
+    HeapEntry top;
+    PeekValid(raw_heap_, &top);
+  }
+
+  // Replaces the loose aggregate `top` was pushed for with a scan of its
+  // members and pushes it again at the factor of its last push, which is
+  // what the pair's exact entry would have been priced with.
+  void RescanLoose(const HeapEntry& top) {
+    const bool out = top.direction == 0;
+    const ColorId c = RowColor(top);
+    const ColorId key = RowKeyOf(top);
+    AggRow& row = out ? out_agg_[c] : in_agg_[c];
+    const auto it = AggLowerBound(row, key);
+    PairAgg agg = RescanPair(c, key, out ? out_deg_ : in_deg_);
+    QSC_DCHECK(agg.count == it->agg.count);
+    agg.factor = it->agg.factor;
+    agg.version = ++version_counter_;
+    it->agg = agg;
+    PushPriced(top.src, top.dst, top.direction, agg);
+    ++split_stats_.rescans;
+    split_stats_.rescanned_members += partition_.ColorSize(c);
+  }
+
   // Moves, for every ejected node v (eject_ order) and every arc between v
   // and a neighbor u (adjacency order), that arc's weight in row u of `deg`
-  // from `from` to `to`, and touches u's color in `affected`. `in_arcs`
+  // from `from` to `to`, and records row u in touched_: its `from` entry
+  // before its first move and both entries after its last. `in_arcs`
   // walks v's in-arcs (the out-degree rows of their sources), otherwise its
   // out-arcs. The moves run in a fixed order in chunks: filling a chunk
   // prefetches the row headers, and each move prefetches the row a few
   // moves ahead, so the random row accesses overlap.
   void MoveEjectedRows(bool in_arcs, ColorId from, ColorId to,
-                       FlatWeightRows& deg, EpochScratch<char>& affected) {
+                       FlatWeightRows& deg) {
     const auto flush = [&] {
       const size_t n = moves_.size();
       for (size_t i = 0; i < std::min(n, kRowLead); ++i) {
@@ -596,16 +667,29 @@ class RothkoRefiner::Impl {
       }
       for (size_t i = 0; i < n; ++i) {
         if (i + kRowLead < n) deg.PrefetchRow(moves_[i + kRowLead].node);
-        deg.Move(moves_[i].node, from, to, moves_[i].weight);
-        affected.Touch(partition_.ColorOf(moves_[i].node));
+        const NodeId u = moves_[i].node;
+        const FlatWeightRows::MoveResult r =
+            deg.Move(u, from, to, moves_[i].weight);
+        int32_t& slot = touch_slot_[u];
+        if (slot < 0) {
+          QSC_DCHECK(!r.to.had);  // `to` is the color just created
+          slot = static_cast<int32_t>(touched_.size());
+          touched_.push_back({u, r.from.had, false, false, r.from.before,
+                              0.0, 0.0});
+        }
+        TouchedRow& t = touched_[slot];
+        t.has_from = r.from.has;
+        t.has_to = r.to.has;
+        t.new_from = r.from.after;
+        t.new_to = r.to.after;
       }
       moves_.clear();
     };
-    affected.NewEpoch();
     for (const NodeId v : eject_) {
       for (const NeighborEntry& e :
            in_arcs ? graph_.InNeighbors(v) : graph_.OutNeighbors(v)) {
         deg.PrefetchHeader(e.node);
+        QSC_PREFETCH(&touch_slot_[e.node]);
         moves_.push_back(e);
         if (moves_.size() == kMoveChunk) flush();
       }
@@ -694,34 +778,84 @@ class RothkoRefiner::Impl {
     if (directed_) in_agg_.emplace_back();
     GrowScratch();
 
-    // Update the neighbors' degree rows and note which colors hold nodes
-    // whose witness degrees changed.
-    MoveEjectedRows(/*in_arcs=*/true, split_color, new_color, out_deg_,
-                    out_affected_);
+    // Per direction, move the ejected nodes' weights inside their
+    // neighbors' rows, then update the neighboring colors' aggregates
+    // toward the two halves from the rows that changed.
+    MoveEjectedRows(/*in_arcs=*/true, split_color, new_color, out_deg_);
+    UpdateAffectedPairs(split_color, new_color, out_agg_,
+                        /*source_side=*/true, /*direction=*/0);
     if (directed_) {
-      MoveEjectedRows(/*in_arcs=*/false, split_color, new_color, in_deg_,
-                      in_affected_);
+      MoveEjectedRows(/*in_arcs=*/false, split_color, new_color, in_deg_);
+      UpdateAffectedPairs(split_color, new_color, in_agg_,
+                          /*source_side=*/false, /*direction=*/1);
     }
 
-    // The two halves of the split need full rebuilds (their member sets
-    // changed); other colors only need the entries toward the two halves.
+    // The two halves' member sets changed: rebuild their aggregates.
     RebuildSourceAggregates(split_color);
     RebuildSourceAggregates(new_color);
     if (directed_) {
       RebuildTargetInAggregates(split_color);
       RebuildTargetInAggregates(new_color);
     }
-    GatherAffected(out_affected_.touched(), split_color, new_color);
-    RecomputeAffected(affected_scratch_, split_color, new_color, out_deg_,
-                      out_agg_, /*source_side=*/true, /*direction=*/0);
-    if (directed_) {
-      GatherAffected(in_affected_.touched(), split_color, new_color);
-      RecomputeAffected(affected_scratch_, split_color, new_color, in_deg_,
-                        in_agg_, /*source_side=*/false, /*direction=*/1);
-    }
 
     history_.push_back({split_color, new_color, hi - lo,
                         partition_.num_colors(), timer_.ElapsedSeconds()});
+    if (audit_) AuditAggregates();
+  }
+
+  void NoteAuditFailure(const std::string& what) {
+    if (audit_failure_.empty()) {
+      audit_failure_ = "split " + std::to_string(history_.size()) + ": " + what;
+    }
+  }
+
+  // The set_audit check: every live pair aggregate against a scan of its
+  // color's members.
+  void AuditAggregates() {
+    for (const bool out : {true, false}) {
+      if (!out && !directed_) break;
+      const FlatWeightRows& deg = out ? out_deg_ : in_deg_;
+      const std::vector<AggRow>& aggs = out ? out_agg_ : in_agg_;
+      for (ColorId c = 0; c < partition_.num_colors(); ++c) {
+        std::map<ColorId, PairAgg> scan;
+        for (const NodeId v : partition_.Members(c)) {
+          const FlatWeightRows::RowView row = deg.RowOf(v);
+          for (size_t i = 0; i < row.size(); ++i) {
+            MergeWeight(scan[row.key(i)], row.weight(i));
+          }
+        }
+        const std::string row_name = std::string(out ? "out" : "in") +
+                                     " row of color " + std::to_string(c);
+        if (scan.size() != aggs[c].size()) {
+          NoteAuditFailure(row_name + " has " +
+                           std::to_string(aggs[c].size()) +
+                           " aggregates, a scan finds " +
+                           std::to_string(scan.size()));
+          continue;
+        }
+        auto s = scan.begin();
+        for (const AggEntry& e : aggs[c]) {
+          const PairAgg& a = e.agg;
+          const PairAgg& want = s->second;
+          const std::string at = row_name + " key " + std::to_string(e.key);
+          if (e.key != s->first) {
+            NoteAuditFailure(at + ": a scan finds key " +
+                             std::to_string(s->first));
+          } else if (a.count != want.count) {
+            NoteAuditFailure(at + ": count differs from a scan");
+          } else if (a.max_count > 0 ? a.max_w != want.max_w ||
+                                           a.max_count != want.max_count
+                                     : !(a.max_w > want.max_w)) {
+            NoteAuditFailure(at + ": max disagrees with a scan");
+          } else if (a.min_count > 0 ? a.min_w != want.min_w ||
+                                           a.min_count != want.min_count
+                                     : !(a.min_w < want.min_w)) {
+            NoteAuditFailure(at + ": min disagrees with a scan");
+          }
+          ++s;
+        }
+      }
+    }
   }
 
   GraphView graph_;
@@ -773,16 +907,36 @@ class RothkoRefiner::Impl {
   std::vector<MemberChange> changes_;
   RothkoPatchStats patch_;
 
+  // One degree row a split's moves touched, in one direction: its entry
+  // toward the split color before the first move (`old_from`), and its
+  // entries toward the split color and the new color after the last.
+  // Absent entries read 0.0 with their flag false.
+  struct TouchedRow {
+    NodeId node;
+    bool had_from;
+    bool has_from;
+    bool has_to;
+    double old_from;
+    double new_from;
+    double new_to;
+  };
+  static_assert(sizeof(TouchedRow) == 32, "touch list entry size");
+
   // Preallocated scratch reused across splits (see flat_rows.h).
   EpochScratch<PairAgg> agg_scratch_;
-  EpochScratch<char> out_affected_;
-  EpochScratch<char> in_affected_;
+  EpochScratch<PairUpdate> pair_updates_;
   std::vector<ColorId> sorted_keys_;
   std::vector<double> split_values_;
   std::vector<NodeId> eject_;
-  std::vector<ColorId> affected_scratch_;
-  std::vector<SplitPairScore> score_scratch_;
   std::vector<NeighborEntry> moves_;  // one MoveEjectedRows chunk
+  // The touched rows of the current direction's moves, in first-touch
+  // order (freed by ReleaseTouchList), and each node's index in it (-1:
+  // untouched), allocated once and reset entry by entry.
+  std::vector<TouchedRow> touched_;
+  std::vector<int32_t> touch_slot_;
+  RothkoSplitStats split_stats_;
+  bool audit_ = false;
+  std::string audit_failure_;
 
   WallTimer timer_;
   std::vector<RothkoStep> history_;
@@ -794,7 +948,11 @@ RothkoRefiner::RothkoRefiner(const GraphView& g, Partition initial,
 
 RothkoRefiner::~RothkoRefiner() = default;
 
-bool RothkoRefiner::Step(ColorId color_cap) { return impl_->Step(color_cap); }
+bool RothkoRefiner::Step(ColorId color_cap) {
+  const bool stepped = impl_->Step(color_cap);
+  impl_->ReleaseTouchList();
+  return stepped;
+}
 void RothkoRefiner::Run() { impl_->Run(); }
 const Partition& RothkoRefiner::partition() const {
   return impl_->partition();
@@ -815,6 +973,13 @@ bool RothkoRefiner::PatchGraph(const GraphView& g,
 }
 const RothkoPatchStats& RothkoRefiner::last_patch() const {
   return impl_->last_patch();
+}
+const RothkoSplitStats& RothkoRefiner::split_stats() const {
+  return impl_->split_stats();
+}
+void RothkoRefiner::set_audit(bool on) { impl_->set_audit(on); }
+const std::string& RothkoRefiner::audit_failure() const {
+  return impl_->audit_failure();
 }
 
 Partition RothkoColoring(const GraphView& g, Partition initial,

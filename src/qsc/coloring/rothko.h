@@ -17,14 +17,31 @@
 // The implementation is incremental: per-node degree rows (the weight
 // toward each neighboring color, one arena per direction; see
 // coloring/flat_rows.h) and per-pair max/min aggregates are updated on each
-// split (cost proportional to the split color's volume), and witnesses are
-// found through lazy max-heaps, so building a k-color refinement does not
-// rescan the graph k times. The same state absorbs graph edits in place
-// (PatchGraph): an edited arc changes one entry of each endpoint's row,
-// and each changed entry moves one member's value inside one pair
-// aggregate. Every aggregate counts the members holding its max and its
-// min, so it updates from the (old, new) values alone, and its members
-// are rescanned only when the last holder of an extreme moves inward.
+// split, and witnesses are found through lazy max-heaps, so building a
+// k-color refinement does not rescan the graph k times. Every aggregate
+// counts the members holding its max and its min, so it updates from its
+// members' (old, new) values alone:
+//   - a split moves the ejected nodes' arc weights inside their neighbors'
+//     rows, and records each touched row's value toward the split color
+//     before the moves and its values toward both halves after them. Each
+//     neighboring color's aggregate toward the split color drops its
+//     touched members' old values, then takes their new ones; its
+//     aggregate toward the new color is built from those members alone.
+//     Only the two halves are rebuilt from all their members, so a split
+//     costs the volume of the ejected nodes plus that of the halves;
+//   - an aggregate whose extreme lost its last holder, with no new value
+//     reaching it, is *loose*: its stale extreme bounds the true one, so
+//     its witness priority is an upper bound. It is rescanned from its
+//     members only when it reaches the top of a witness heap, then pushed
+//     again at the size factor of its last push. Max, min and count are
+//     exact selections and a bound never ranks below its exact value, so
+//     each heap's first exact top is the witness an eager rescan would
+//     pick, ties included. After every public call the top of the raw
+//     heap (CurrentMaxError) is exact;
+//   - graph edits are absorbed in place (PatchGraph): an edited arc
+//     changes one entry of each endpoint's row, and each changed entry
+//     moves one member's value inside one pair aggregate, which is
+//     rescanned at once if it turns loose.
 //
 // The cut itself is pluggable: a SplitRule decides which members of the
 // chosen color move into the new color. The default (null) rule is the
@@ -38,6 +55,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "qsc/coloring/backend.h"
@@ -54,8 +72,9 @@ class ThreadPool;
 // ColoringParams (coloring/params.h) so every backend consumes the same
 // struct; RothkoOptions adds only the Rothko-specific stopping rule.
 //
-// Pool semantics for Rothko specifically: candidate colors are scored
-// concurrently but scores commit through an ordered reduction, so the
+// Pool semantics for Rothko specifically: the degree rows build and a
+// large split color's witness values are gathered over the pool, each
+// through a reduction whose result does not depend on the chunking, so the
 // split sequence — and therefore every partition and q-error this refiner
 // produces — is bit-identical for any pool size, including none
 // (tests/coloring_rothko_equivalence_test.cc checks threads 1/2/8 against
@@ -90,6 +109,14 @@ struct RothkoPatchStats {
   bool heaps_rebuilt = false;     // witness heaps rebuilt from the pairs
   int64_t heap_entries = 0;       // entries of the larger heap afterwards
   int64_t live_pairs = 0;         // live pair aggregates afterwards
+};
+
+// Split-loop telemetry, summed since the refiner was built.
+struct RothkoSplitStats {
+  int64_t touched_rows = 0;       // degree rows the splits' moves changed
+  int64_t loose_pairs = 0;        // pair aggregates a split left loose
+  int64_t rescans = 0;            // loose pairs rescanned at a heap top
+  int64_t rescanned_members = 0;  // members visited by those rescans
 };
 
 // A witness-split rule. `members` is Members(split_color) and `values[i]`
@@ -179,6 +206,18 @@ class RothkoRefiner : public ColoringBackend {
                   const std::vector<EditedArc>& arcs) override;
 
   const RothkoPatchStats& last_patch() const;
+
+  const RothkoSplitStats& split_stats() const;
+
+  // Test-only self-check of the lazy pair aggregates. While on, every
+  // split checks each live aggregate against a scan of its members (same
+  // count; a held extreme equal to the scan's, with as many holders; a
+  // loose extreme strictly beyond it) and that no pair whose entries all
+  // came from the split's new values is left loose; the first violation
+  // is kept in audit_failure() (empty while none). Costs a pass over
+  // every degree row per split.
+  void set_audit(bool on);
+  const std::string& audit_failure() const;
 
  private:
   class Impl;

@@ -14,7 +14,7 @@
 //    sequential `for i { work(i); commit(i); }` whenever work only reads
 //    shared state and all order-sensitive mutation lives in commit. This
 //    is the "score in parallel, commit in order" primitive behind the
-//    Rothko split scorer and the centrality pivot fan-out.
+//    centrality pivot fan-out.
 //
 // All three treat a null pool (or a 1-thread pool) as the sequential
 // path with zero synchronization overhead.

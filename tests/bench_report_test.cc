@@ -89,6 +89,41 @@ TEST(BenchReportTest, ScenariosAreSortedByNameRegardlessOfRunOrder) {
   EXPECT_EQ(scenarios[1].Get("name")->StringOr(""), "test/b");
 }
 
+TEST(BenchReportTest, HeaderNamesTheSingleShotScenarios) {
+  // Requested: 1 warmup, 7 repeats. One scenario follows it; one runs once
+  // (kSingleShot), as the paper/ scenarios and the cold pipelines do.
+  BenchReport report;
+  report.suite = "custom";
+  report.measure = MeasureOptions{1, 7};
+  BenchContext ctx;
+  ctx.measure = report.measure;
+  ScenarioResult repeated = TinyScenario().Run(ctx);
+  repeated.name = "test/repeated";
+  ScenarioResult once = TinyScenario().Run(ctx);
+  once.name = "test/once";
+  once.timing = MeasureSeconds(kSingleShot, [] {});
+  report.results = {repeated, once};
+
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(ReportGroupJson(report, "testgroup", false), &doc)
+                  .ok());
+  EXPECT_EQ(doc.Get("repeats")->NumberOr(-1), 7);
+  const JsonValue* single = doc.Get("single_shot");
+  ASSERT_NE(single, nullptr);
+  ASSERT_EQ(single->array.size(), 1u);
+  EXPECT_EQ(single->array[0].StringOr(""), "test/once");
+  const auto& scenarios = doc.Get("scenarios")->array;
+  EXPECT_EQ(scenarios[0].Get("timing")->Get("repeats")->NumberOr(-1), 1);
+  EXPECT_EQ(scenarios[1].Get("timing")->Get("repeats")->NumberOr(-1), 7);
+
+  // A run that itself asked for one shot lists nothing: the header's own
+  // warmup and repeats are then true of every scenario.
+  report.measure = kSingleShot;
+  ASSERT_TRUE(ParseJson(ReportGroupJson(report, "testgroup", false), &doc)
+                  .ok());
+  EXPECT_TRUE(doc.Get("single_shot")->array.empty());
+}
+
 TEST(BenchReportTest, ReportGroupsAreDistinctAndSorted) {
   BenchReport report;
   ScenarioResult r1, r2, r3;

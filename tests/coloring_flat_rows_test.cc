@@ -1,9 +1,10 @@
 // Unit tests for the Rothko hot-path containers (flat_rows.h): sorted-row
 // invariants of the arena-backed FlatWeightRows (insert/accumulate/erase
-// with the zero tolerance, Move, Assign, the parallel Build, relocation,
-// compaction and repacking, O(1) memory accounting) against a std::map oracle of the
-// Add semantics, and epoch semantics of EpochScratch (O(1) reuse,
-// freshness reporting, touched-key ordering).
+// with the zero tolerance, Move and the entries it reports, Assign, the
+// parallel Build, relocation, compaction and repacking, O(1) memory
+// accounting) against a std::map oracle of the Add semantics, and epoch
+// semantics of EpochScratch (O(1) reuse, freshness reporting, touched-key
+// ordering).
 
 #include "qsc/coloring/flat_rows.h"
 
@@ -65,6 +66,48 @@ void ExpectAccountingConsistent(const FlatWeightRows& rows,
   EXPECT_EQ(rows.MemoryBytes(),
             stats.header_capacity * FlatWeightRows::kHeaderBytes +
                 stats.arena_capacity * FlatWeightRows::kEntryBytes);
+}
+
+// Which branch of Move each entry took: present before and after,
+// present then dropped, absent then materialized, absent and still absent.
+enum MoveBranch { kKept, kErased, kInserted, kAbsent };
+
+MoveBranch BranchOf(const FlatWeightRows::EntryChange& e) {
+  if (e.had) return e.has ? kKept : kErased;
+  return e.has ? kInserted : kAbsent;
+}
+
+// Tallies, per entry (`from`, `to`), the branches Move took.
+struct MoveBranches {
+  int from[4] = {};
+  int to[4] = {};
+};
+
+// rows.Move(v, from, to, w), checking the reported entries against Find
+// before and after the move.
+void CheckedMove(FlatWeightRows& rows, NodeId v, ColorId from, ColorId to,
+                 double w, MoveBranches* seen = nullptr) {
+  const auto read = [&](ColorId key) {
+    const double* p = rows.Find(v, key);
+    return std::make_pair(p != nullptr, p == nullptr ? 0.0 : *p);
+  };
+  const auto from_before = read(from);
+  const auto to_before = read(to);
+  const FlatWeightRows::MoveResult r = rows.Move(v, from, to, w);
+  const auto from_after = read(from);
+  const auto to_after = read(to);
+  EXPECT_EQ(r.from.had, from_before.first) << "row " << v;
+  EXPECT_EQ(r.from.before, from_before.second) << "row " << v;
+  EXPECT_EQ(r.from.has, from_after.first) << "row " << v;
+  EXPECT_EQ(r.from.after, from_after.second) << "row " << v;
+  EXPECT_EQ(r.to.had, to_before.first) << "row " << v;
+  EXPECT_EQ(r.to.before, to_before.second) << "row " << v;
+  EXPECT_EQ(r.to.has, to_after.first) << "row " << v;
+  EXPECT_EQ(r.to.after, to_after.second) << "row " << v;
+  if (seen != nullptr) {
+    ++seen->from[BranchOf(r.from)];
+    ++seen->to[BranchOf(r.to)];
+  }
 }
 
 // A weight drawn from the mixes the refiner meets: unit-scale, large and
@@ -184,7 +227,9 @@ TEST(FlatWeightRowsTest, MoveEqualsSubtractThenAddBitForBit) {
       {{{1, 0.5}, {2, 1.0}, {3, 2.0}, {5, 1.0}}, 1, 5, 0.5},
       {{{1, 0.5}, {2, 1.0}, {3, 2.0}}, 1, 5, 0.5},
       {{{0, 1.0}, {2, 1.0}, {3, 2.0}, {5, 1.0}}, 1, 5, 0.5},
+      {{{1, 2.0}, {4, -0.5}}, 1, 4, 0.5},
   };
+  MoveBranches seen;
   for (size_t c = 0; c < cases.size(); ++c) {
     FlatWeightRows moved;
     FlatWeightRows reference;
@@ -196,15 +241,19 @@ TEST(FlatWeightRowsTest, MoveEqualsSubtractThenAddBitForBit) {
       reference.Add(0, key, w);
       OracleAdd(oracle, key, w);
     }
-    moved.Move(0, cases[c].from, cases[c].to, cases[c].w);
+    SCOPED_TRACE(c);
+    CheckedMove(moved, 0, cases[c].from, cases[c].to, cases[c].w, &seen);
     reference.Subtract(0, cases[c].from, cases[c].w);
     reference.Add(0, cases[c].to, cases[c].w);
     OracleAdd(oracle, cases[c].from, -cases[c].w);
     OracleAdd(oracle, cases[c].to, cases[c].w);
-    SCOPED_TRACE(c);
     ExpectRowEquals(moved, 0, oracle);
     ExpectRowEquals(reference, 0, oracle);
     ExpectAccountingConsistent(moved, 1);
+  }
+  for (const MoveBranch b : {kKept, kErased, kInserted, kAbsent}) {
+    EXPECT_GT(seen.from[b], 0) << "`from` branch " << b;
+    EXPECT_GT(seen.to[b], 0) << "`to` branch " << b;
   }
 }
 
@@ -263,6 +312,7 @@ TEST(FlatWeightRowsTest, RandomizedOpsMatchMapOracle) {
       OracleAdd(oracle[v], 0, 1.0 + static_cast<double>(v % 5));
     }
     ColorId newest = 0;  // Move targets the newest key, as the refiner does
+    MoveBranches seen;
     for (int op = 0; op < 20000; ++op) {
       const NodeId v = static_cast<NodeId>(rng.NextBounded(kRows));
       const double w = DrawWeight(rng);
@@ -300,7 +350,7 @@ TEST(FlatWeightRowsTest, RandomizedOpsMatchMapOracle) {
           if (it == oracle[v].end() || it->first >= newest) break;
           const ColorId from = it->first;
           const double all = it->second;
-          rows.Move(v, from, newest, all);
+          CheckedMove(rows, v, from, newest, all, &seen);
           OracleAdd(oracle[v], from, -all);
           OracleAdd(oracle[v], newest, all);
           break;
@@ -308,7 +358,7 @@ TEST(FlatWeightRowsTest, RandomizedOpsMatchMapOracle) {
         default: {
           if (newest == 0) break;
           const ColorId from = static_cast<ColorId>(rng.NextBounded(newest));
-          rows.Move(v, from, newest, w);
+          CheckedMove(rows, v, from, newest, w, &seen);
           OracleAdd(oracle[v], from, -w);
           OracleAdd(oracle[v], newest, w);
           break;
@@ -325,6 +375,11 @@ TEST(FlatWeightRowsTest, RandomizedOpsMatchMapOracle) {
     ExpectAccountingConsistent(rows, kRows);
     EXPECT_GT(rows.stats().relocations, 0);
     EXPECT_GT(rows.stats().compactions, 0);
+    // Every Move branch ran, tolerance drops and negative weights included.
+    for (const MoveBranch b : {kKept, kErased, kInserted, kAbsent}) {
+      EXPECT_GT(seen.from[b], 0) << "`from` branch " << b;
+      EXPECT_GT(seen.to[b], 0) << "`to` branch " << b;
+    }
   }
 }
 
