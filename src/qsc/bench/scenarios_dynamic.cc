@@ -14,17 +14,23 @@
 // recoloring beyond the requested tolerance. Wall-clock comparisons
 // are machine-dependent and land in gauges: repair_seconds (edit batches
 // plus the checkpoint colorings), apply_edits_seconds (the ApplyEdits
-// calls alone: the batch copy and every cached coloring's patch and
+// calls alone: the batch merge and every cached coloring's patch and
 // repair), scratch_seconds and the speedup ratio.
+//
+// `dynamic/apply-batch-ba-100k` times the edit layer alone:
+// ApplyEditBatch over a stream of 32-edit batches on servebench's
+// reference graph, with the result gated bitwise against FromArcs.
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "qsc/api/compressor.h"
+#include "qsc/api/hashing.h"
 #include "qsc/bench/scenario.h"
 #include "qsc/dynamic/edit_stream.h"
 #include "qsc/graph/generators.h"
@@ -181,9 +187,120 @@ void RegisterChurn(const char* name, const char* description,
       }));
 }
 
+// FNV-1a over every arc's (src, dst, weight bits), folded to 48 bits so
+// that a double counter holds it exactly.
+double ArcChecksum(const Graph& g) {
+  uint64_t h = api_internal::kFnvOffsetBasis;
+  for (const EdgeTriple& a : g.Arcs()) {
+    h = api_internal::HashMixWord(
+        h, (static_cast<uint64_t>(a.src) << 32) | static_cast<uint32_t>(a.dst));
+    h = api_internal::HashMixDouble(h, a.weight);
+  }
+  return static_cast<double>(h & ((uint64_t{1} << 48) - 1));
+}
+
+// True when `g` differs from FromArcs over its own arc list in any field
+// the mutator contract names (graph.h): arcs, both rows, the weight
+// caches bit for bit, the edge count or the exact-size footprint.
+bool DiffersFromRebuild(const Graph& g) {
+  const Graph want = Graph::FromArcs(g.num_nodes(), g.Arcs(), g.undirected());
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  if (!(g == want) || g.num_edges() != want.num_edges() ||
+      g.MemoryBytes() != want.MemoryBytes() ||
+      !same_bits(g.TotalWeight(), want.TotalWeight())) {
+    return true;
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const NeighborRange a = g.InNeighbors(v);
+    const NeighborRange b = want.InNeighbors(v);
+    if (!same_bits(g.OutWeight(v), want.OutWeight(v)) ||
+        !same_bits(g.InWeight(v), want.InWeight(v)) || a.size() != b.size() ||
+        !std::equal(a.nodes(), a.nodes() + a.size(), b.nodes()) ||
+        std::memcmp(a.weights(), b.weights(), a.size() * sizeof(double)) !=
+            0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void RegisterApplyBatch() {
+  Scenario::Info info;
+  info.name = "dynamic/apply-batch-ba-100k";
+  info.group = "dynamic";
+  info.description =
+      "ApplyEditBatch alone over 16 batches of 32 mixed edits on "
+      "servebench's directed BA-100k reference graph; gates the final "
+      "arc/weight checksum and 0 mismatches against FromArcs";
+  info.smoke = true;
+  ScenarioRegistry::Global().Register(Scenario(
+      std::move(info), [](const BenchContext& ctx) {
+        constexpr int64_t kBatches = 16;
+        constexpr int64_t kEditsPerBatch = 32;
+        // servebench's reference graph (servebench/src/plan.cc).
+        Rng rng(20220901);
+        const Graph ba = BarabasiAlbert(100000, 3, rng);
+        const Graph g =
+            Graph::FromArcs(ba.num_nodes(), ba.Arcs(), /*undirected=*/false);
+        dynamic::EditStreamOptions stream;
+        stream.seed = ctx.seed ^ 0xd1a2;
+        stream.num_batches = kBatches;
+        stream.edits_per_batch = kEditsPerBatch;
+        StatusOr<std::vector<std::vector<dynamic::EditOp>>> batches =
+            dynamic::GenerateEditBatches(g, stream);
+        QSC_CHECK_OK(batches);
+
+        // The measured unit: the whole stream, each batch applied to the
+        // previous batch's result.
+        Graph current;
+        ScenarioResult r;
+        r.timing = MeasureSeconds(ctx.measure, [&] {
+          const Graph* base = &g;
+          for (const std::vector<dynamic::EditOp>& batch : *batches) {
+            StatusOr<Graph> next = dynamic::ApplyEditBatch(*base, batch);
+            QSC_CHECK_OK(next);
+            current = std::move(next).value();
+            base = &current;
+          }
+        });
+
+        // Outside the timed closure: every intermediate graph against a
+        // rebuild from its own arcs.
+        int64_t mismatches = 0;
+        Graph replay = g;
+        for (const std::vector<dynamic::EditOp>& batch : *batches) {
+          StatusOr<Graph> next = dynamic::ApplyEditBatch(replay, batch);
+          QSC_CHECK_OK(next);
+          replay = std::move(next).value();
+          if (DiffersFromRebuild(replay)) ++mismatches;
+        }
+        if (!(replay == current)) ++mismatches;
+
+        r.params = {
+            {"nodes", static_cast<double>(g.num_nodes())},
+            {"arcs", static_cast<double>(g.num_arcs())},
+            {"batches", static_cast<double>(kBatches)},
+            {"edits_per_batch", static_cast<double>(kEditsPerBatch)},
+        };
+        r.counters = {
+            {"final_arcs", static_cast<double>(current.num_arcs())},
+            {"final_edges", static_cast<double>(current.num_edges())},
+            {"arc_checksum", ArcChecksum(current)},
+            {"fromarcs_mismatches", static_cast<double>(mismatches)},
+        };
+        r.gauges = {
+            {"ms_per_batch", r.timing.seconds.median * 1e3 / kBatches},
+        };
+        return r;
+      }));
+}
+
 }  // namespace
 
 void RegisterDynamicScenarios() {
+  RegisterApplyBatch();
   {
     ChurnConfig config;
     config.num_nodes = 10000;

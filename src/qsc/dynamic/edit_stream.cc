@@ -58,19 +58,19 @@ const char* EditKindName(EditKind kind) {
 
 StatusOr<Graph> ApplyEditBatch(const Graph& g,
                                const std::vector<EditOp>& edits) {
-  Graph out = g;
+  GraphEditor editor(g);
   for (size_t i = 0; i < edits.size(); ++i) {
     const EditOp& op = edits[i];
     Status s;
     switch (op.kind) {
       case EditKind::kInsertEdge:
-        s = out.AddEdge(op.src, op.dst, op.weight);
+        s = editor.AddEdge(op.src, op.dst, op.weight);
         break;
       case EditKind::kDeleteEdge:
-        s = out.RemoveEdge(op.src, op.dst);
+        s = editor.RemoveEdge(op.src, op.dst);
         break;
       case EditKind::kUpdateWeight:
-        s = out.SetWeight(op.src, op.dst, op.weight);
+        s = editor.SetWeight(op.src, op.dst, op.weight);
         break;
       default:
         s = Status::InvalidArgument("unknown edit kind");
@@ -81,7 +81,7 @@ StatusOr<Graph> ApplyEditBatch(const Graph& g,
                                   DescribeOp(op) + "): " + s.message());
     }
   }
-  return out;
+  return editor.Build();
 }
 
 StatusOr<std::vector<EditOp>> GenerateEdits(const Graph& g, EditKind kind,

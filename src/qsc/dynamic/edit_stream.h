@@ -1,7 +1,7 @@
 // The edit model for dynamic graphs (ROADMAP item 2, docs/DYNAMIC.md):
 // a small vocabulary of single-edge edits, all-or-nothing batch
-// application on top of the Graph mutators, and seeded deterministic
-// edit-stream generators.
+// application through a GraphEditor (qsc/graph/graph.h), and seeded
+// deterministic edit-stream generators.
 //
 // The generators are the churn counterpart of graph/perturb: the
 // single-kind GenerateEdits draws exactly like AddRandomEdges /
@@ -49,11 +49,14 @@ struct EditOp {
   friend bool operator!=(const EditOp& a, const EditOp& b) { return !(a == b); }
 };
 
-// Applies `edits` in order to a copy of `g` and returns the mutated
-// graph; `g` itself is never modified. All-or-nothing: the first invalid
-// edit (per the Graph mutator contracts — duplicate insert, absent
-// delete/update, bad endpoint or weight) fails the whole batch with the
-// mutator's status code and a message naming the offending edit.
+// Applies `edits` in order and returns the mutated graph; `g` itself is
+// never modified. All-or-nothing: the first invalid edit (per the Graph
+// mutator contracts — duplicate insert, absent delete/update, bad
+// endpoint or weight, judged against `g` as edited by the batch's earlier
+// edits) fails the whole batch with the mutator's status code and a
+// message "edit i (kind u->v): <mutator message>". The edits are staged
+// in a GraphEditor and the result built in one merge pass,
+// O(num_nodes + num_arcs + b log b) for a batch of b edits.
 StatusOr<Graph> ApplyEditBatch(const Graph& g, const std::vector<EditOp>& edits);
 
 // One seeded batch of `count` edits of a single kind, valid against `g`

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
+#include <utility>
 
 namespace qsc {
 namespace {
@@ -207,106 +209,172 @@ Status CheckWeight(double weight) {
 }  // namespace
 
 Status Graph::AddEdge(NodeId u, NodeId v, double weight) {
-  QSC_RETURN_IF_ERROR(CheckEndpoints(u, v, num_nodes_));
-  QSC_RETURN_IF_ERROR(CheckWeight(weight));
-  if (HasArc(u, v)) {
-    return Status::InvalidArgument("arc " + ArcName(u, v) +
-                                   " already present; use SetWeight");
-  }
-  InsertArcInPlace(u, v, weight);
-  if (undirected_ && u != v) InsertArcInPlace(v, u, weight);
-  ++num_edges_;
-  RecomputeWeightCaches(u, v);
+  GraphEditor editor(*this);
+  QSC_RETURN_IF_ERROR(editor.AddEdge(u, v, weight));
+  *this = editor.Build();
   return Status::Ok();
 }
 
 Status Graph::RemoveEdge(NodeId u, NodeId v) {
-  QSC_RETURN_IF_ERROR(CheckEndpoints(u, v, num_nodes_));
-  if (!HasArc(u, v)) {
-    return Status::NotFound("no arc " + ArcName(u, v) + " in the graph");
-  }
-  EraseArcInPlace(u, v);
-  if (undirected_ && u != v) EraseArcInPlace(v, u);
-  --num_edges_;
-  RecomputeWeightCaches(u, v);
+  GraphEditor editor(*this);
+  QSC_RETURN_IF_ERROR(editor.RemoveEdge(u, v));
+  *this = editor.Build();
   return Status::Ok();
 }
 
 Status Graph::SetWeight(NodeId u, NodeId v, double weight) {
-  QSC_RETURN_IF_ERROR(CheckEndpoints(u, v, num_nodes_));
-  QSC_RETURN_IF_ERROR(CheckWeight(weight));
-  if (!HasArc(u, v)) {
-    return Status::NotFound("no arc " + ArcName(u, v) + " in the graph");
-  }
-  SetArcWeightInPlace(u, v, weight);
-  if (undirected_ && u != v) SetArcWeightInPlace(v, u, weight);
-  RecomputeWeightCaches(u, v);
+  GraphEditor editor(*this);
+  QSC_RETURN_IF_ERROR(editor.SetWeight(u, v, weight));
+  *this = editor.Build();
   return Status::Ok();
 }
 
-void Graph::InsertArcInPlace(NodeId u, NodeId v, double weight) {
-  const auto out_it = std::lower_bound(out_dst_.begin() + out_offsets_[u],
-                                       out_dst_.begin() + out_offsets_[u + 1],
-                                       v);
-  const int64_t out_pos = out_it - out_dst_.begin();
-  out_dst_.insert(out_it, v);
-  out_w_.insert(out_w_.begin() + out_pos, weight);
-  for (NodeId w = u + 1; w <= num_nodes_; ++w) ++out_offsets_[w];
-
-  const auto in_it = std::lower_bound(in_src_.begin() + in_offsets_[v],
-                                      in_src_.begin() + in_offsets_[v + 1], u);
-  const int64_t in_pos = in_it - in_src_.begin();
-  in_src_.insert(in_it, u);
-  in_w_.insert(in_w_.begin() + in_pos, weight);
-  for (NodeId w = v + 1; w <= num_nodes_; ++w) ++in_offsets_[w];
+uint64_t GraphEditor::Key(NodeId u, NodeId v) const {
+  if (base_.undirected() && u > v) std::swap(u, v);
+  return (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(v);
 }
 
-void Graph::EraseArcInPlace(NodeId u, NodeId v) {
-  const auto out_it = std::lower_bound(out_dst_.begin() + out_offsets_[u],
-                                       out_dst_.begin() + out_offsets_[u + 1],
-                                       v);
-  QSC_CHECK(out_it != out_dst_.end() && *out_it == v);
-  out_w_.erase(out_w_.begin() + (out_it - out_dst_.begin()));
-  out_dst_.erase(out_it);
-  for (NodeId w = u + 1; w <= num_nodes_; ++w) --out_offsets_[w];
-
-  const auto in_it = std::lower_bound(in_src_.begin() + in_offsets_[v],
-                                      in_src_.begin() + in_offsets_[v + 1], u);
-  QSC_CHECK(in_it != in_src_.end() && *in_it == u);
-  in_w_.erase(in_w_.begin() + (in_it - in_src_.begin()));
-  in_src_.erase(in_it);
-  for (NodeId w = v + 1; w <= num_nodes_; ++w) --in_offsets_[w];
+double GraphEditor::CurrentWeight(NodeId u, NodeId v) const {
+  const auto it = staged_.find(Key(u, v));
+  return it != staged_.end() ? it->second : base_.ArcWeight(u, v);
 }
 
-void Graph::SetArcWeightInPlace(NodeId u, NodeId v, double weight) {
-  const auto out_it = std::lower_bound(out_dst_.begin() + out_offsets_[u],
-                                       out_dst_.begin() + out_offsets_[u + 1],
-                                       v);
-  QSC_CHECK(out_it != out_dst_.end() && *out_it == v);
-  out_w_[out_it - out_dst_.begin()] = weight;
-
-  const auto in_it = std::lower_bound(in_src_.begin() + in_offsets_[v],
-                                      in_src_.begin() + in_offsets_[v + 1], u);
-  QSC_CHECK(in_it != in_src_.end() && *in_it == u);
-  in_w_[in_it - in_src_.begin()] = weight;
-}
-
-void Graph::RecomputeWeightCaches(NodeId u, NodeId v) {
-  // Row sums in row order and the total in global (src, dst) order — the
-  // exact accumulation order of FromCoalescedArcs, so the caches of a
-  // mutated graph match a rebuild bit for bit. Undirected mutations touch
-  // the rows of both endpoints in both directions.
-  for (const NodeId x : {u, v}) {
-    double out_sum = 0.0;
-    for (const NeighborEntry e : OutNeighbors(x)) out_sum += e.weight;
-    out_weight_[x] = out_sum;
-    double in_sum = 0.0;
-    for (const NeighborEntry e : InNeighbors(x)) in_sum += e.weight;
-    in_weight_[x] = in_sum;
+Status GraphEditor::AddEdge(NodeId u, NodeId v, double weight) {
+  QSC_RETURN_IF_ERROR(CheckEndpoints(u, v, base_.num_nodes()));
+  QSC_RETURN_IF_ERROR(CheckWeight(weight));
+  if (CurrentWeight(u, v) != 0.0) {
+    return Status::InvalidArgument("arc " + ArcName(u, v) +
+                                   " already present; use SetWeight");
   }
-  double total = 0.0;
-  for (const double w : out_w_) total += w;
-  total_weight_ = total;
+  staged_[Key(u, v)] = weight;
+  return Status::Ok();
+}
+
+Status GraphEditor::RemoveEdge(NodeId u, NodeId v) {
+  QSC_RETURN_IF_ERROR(CheckEndpoints(u, v, base_.num_nodes()));
+  if (CurrentWeight(u, v) == 0.0) {
+    return Status::NotFound("no arc " + ArcName(u, v) + " in the graph");
+  }
+  staged_[Key(u, v)] = 0.0;
+  return Status::Ok();
+}
+
+Status GraphEditor::SetWeight(NodeId u, NodeId v, double weight) {
+  QSC_RETURN_IF_ERROR(CheckEndpoints(u, v, base_.num_nodes()));
+  QSC_RETURN_IF_ERROR(CheckWeight(weight));
+  if (CurrentWeight(u, v) == 0.0) {
+    return Status::NotFound("no arc " + ArcName(u, v) + " in the graph");
+  }
+  staged_[Key(u, v)] = weight;
+  return Status::Ok();
+}
+
+namespace {
+
+// One stored-arc change for a CSR merge, addressed by (row, id) of that
+// CSR: (src, dst) for the out-CSR, (dst, src) for the in-CSR.
+struct ArcChange {
+  NodeId row;
+  NodeId id;
+  double weight;  // the arc's new weight; 0 removes it
+  int delta;      // stored-arc count change: +1 insert, -1 remove, 0 update
+};
+
+// Merges `changes` (sorted by (row, id)) into one CSR direction of `n`
+// rows, appending to the empty `new_*` arrays at their exact final size.
+// Runs of rows without changes are bulk-copied; each changed row is merged
+// entry by entry and its sum in `row_sums` (a copy of the base's cache)
+// re-accumulated in row order, as FromCoalescedArcs accumulates it.
+void MergeCsr(NodeId n, const std::vector<int64_t>& offsets,
+              const std::vector<NodeId>& ids,
+              const std::vector<double>& weights,
+              const std::vector<ArcChange>& changes,
+              std::vector<int64_t>* new_offsets, std::vector<NodeId>* new_ids,
+              std::vector<double>* new_weights, std::vector<double>* row_sums) {
+  new_offsets->resize(static_cast<size_t>(n) + 1);
+  int64_t shift = 0;
+  size_t k = 0;
+  for (NodeId r = 0; r < n; ++r) {
+    for (; k < changes.size() && changes[k].row == r; ++k) {
+      shift += changes[k].delta;
+    }
+    (*new_offsets)[r + 1] = offsets[r + 1] + shift;
+  }
+  new_ids->reserve((*new_offsets)[n]);
+  new_weights->reserve((*new_offsets)[n]);
+
+  int64_t copied = 0;  // old entries [0, copied) are in the new arrays
+  const auto copy_upto = [&](int64_t end) {
+    new_ids->insert(new_ids->end(), ids.begin() + copied, ids.begin() + end);
+    new_weights->insert(new_weights->end(), weights.begin() + copied,
+                        weights.begin() + end);
+    copied = end;
+  };
+  const auto append = [&](NodeId id, double weight) {
+    new_ids->push_back(id);
+    new_weights->push_back(weight);
+  };
+  for (k = 0; k < changes.size();) {
+    const NodeId r = changes[k].row;
+    copy_upto(offsets[r]);
+    const size_t row_begin = new_weights->size();
+    int64_t i = offsets[r];
+    const int64_t end = offsets[r + 1];
+    for (; k < changes.size() && changes[k].row == r; ++k) {
+      const ArcChange& c = changes[k];
+      for (; i < end && ids[i] < c.id; ++i) append(ids[i], weights[i]);
+      if (i < end && ids[i] == c.id) ++i;  // replaced or removed
+      if (c.weight != 0.0) append(c.id, c.weight);
+    }
+    for (; i < end; ++i) append(ids[i], weights[i]);
+    copied = end;
+    (*row_sums)[r] = std::accumulate(new_weights->begin() + row_begin,
+                                     new_weights->end(), 0.0);
+  }
+  copy_upto(static_cast<int64_t>(ids.size()));
+  QSC_DCHECK(static_cast<int64_t>(new_ids->size()) == (*new_offsets)[n]);
+}
+
+}  // namespace
+
+Graph GraphEditor::Build() const {
+  std::vector<ArcChange> changes;
+  changes.reserve(2 * staged_.size());
+  int64_t edge_delta = 0;
+  for (const auto& [key, weight] : staged_) {
+    const NodeId u = static_cast<NodeId>(key >> 32);
+    const NodeId v = static_cast<NodeId>(key & 0xffffffffu);
+    const double before = base_.ArcWeight(u, v);
+    if (weight == before) continue;  // e.g. inserted, then removed again
+    const int delta = (weight != 0.0) - (before != 0.0);
+    edge_delta += delta;
+    changes.push_back({u, v, weight, delta});
+    if (base_.undirected() && u != v) changes.push_back({v, u, weight, delta});
+  }
+  if (changes.empty()) return base_;
+  const auto by_row = [](const ArcChange& a, const ArcChange& b) {
+    if (a.row != b.row) return a.row < b.row;
+    return a.id < b.id;
+  };
+
+  Graph g;
+  g.num_nodes_ = base_.num_nodes_;
+  g.undirected_ = base_.undirected_;
+  g.num_edges_ = base_.num_edges_ + edge_delta;
+  g.out_weight_ = base_.out_weight_;
+  g.in_weight_ = base_.in_weight_;
+
+  std::sort(changes.begin(), changes.end(), by_row);
+  MergeCsr(g.num_nodes_, base_.out_offsets_, base_.out_dst_, base_.out_w_,
+           changes, &g.out_offsets_, &g.out_dst_, &g.out_w_, &g.out_weight_);
+  for (ArcChange& c : changes) std::swap(c.row, c.id);
+  std::sort(changes.begin(), changes.end(), by_row);
+  MergeCsr(g.num_nodes_, base_.in_offsets_, base_.in_src_, base_.in_w_,
+           changes, &g.in_offsets_, &g.in_src_, &g.in_w_, &g.in_weight_);
+
+  // The total in global (src, dst) order, as FromCoalescedArcs sums it.
+  g.total_weight_ = std::accumulate(g.out_w_.begin(), g.out_w_.end(), 0.0);
+  return g;
 }
 
 std::vector<EdgeTriple> Graph::Arcs() const {

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <vector>
 
 #include "qsc/util/check.h"
@@ -242,18 +243,21 @@ class Graph {
   // accounting of caches that hold graphs).
   int64_t MemoryBytes() const;
 
-  // In-place single-edge mutators (the dynamic-graph substrate,
-  // docs/DYNAMIC.md). On an undirected graph each call addresses the
-  // logical edge {u,v} and keeps both stored arcs in sync. A mutated
-  // graph is bit-identical (all fields, including the cached weight
-  // aggregates) to FromArcs() over the mutated arc list, so downstream
-  // consumers cannot tell a mutation from a rebuild.
+  // Single-edge mutators (the dynamic-graph substrate, docs/DYNAMIC.md):
+  // each is a one-edit GraphEditor batch, so it has the batch's contract
+  // below. On an undirected graph each call addresses the logical edge
+  // {u,v} and keeps both stored arcs in sync. A mutated graph is
+  // bit-identical (all fields, including the cached weight aggregates and
+  // the exact-size arrays) to FromArcs() over the mutated arc list, so
+  // downstream consumers cannot tell a mutation from a rebuild.
   //
   // Rejections: out-of-range endpoint or a non-finite / zero weight (the
   // paper convention is that an arc exists iff its weight is nonzero)
   // => kInvalidArgument; AddEdge of a present arc => kInvalidArgument
   // (use SetWeight); RemoveEdge/SetWeight of an absent arc => kNotFound.
-  // On any error the graph is unchanged. Each call is O(num_arcs).
+  // On any error the graph is unchanged. Each call rebuilds the CSRs in
+  // one O(num_nodes + num_arcs) merge pass; stage many edits in one
+  // GraphEditor to pay that once.
   Status AddEdge(NodeId u, NodeId v, double weight);
   Status RemoveEdge(NodeId u, NodeId v);
   Status SetWeight(NodeId u, NodeId v, double weight);
@@ -266,25 +270,13 @@ class Graph {
  private:
   // Aliases the SoA arrays zero-copy (qsc/graph/graph_view.h).
   friend class GraphView;
+  // Builds edited graphs field by field.
+  friend class GraphEditor;
 
   // Shared tail of FromEdges/FromArcs: `arcs` must already be coalesced
   // (sorted by (src, dst), duplicates summed, exact zeros dropped).
   static Graph FromCoalescedArcs(NodeId num_nodes, std::vector<EdgeTriple> arcs,
                                  bool undirected);
-
-  // Single-arc CSR surgery for the mutators above. Each touches exactly
-  // one out-row and one in-row and shifts the offset tables; the caller
-  // is responsible for mirroring on undirected graphs and for restoring
-  // the weight aggregates via RecomputeWeightCaches.
-  void InsertArcInPlace(NodeId u, NodeId v, double weight);
-  void EraseArcInPlace(NodeId u, NodeId v);
-  void SetArcWeightInPlace(NodeId u, NodeId v, double weight);
-
-  // Recomputes out_weight_[u], in_weight_[v], and total_weight_ in the
-  // same accumulation order FromCoalescedArcs uses (row order for node
-  // sums, global (src, dst) order for the total), so a mutated graph
-  // matches a rebuild bit for bit.
-  void RecomputeWeightCaches(NodeId u, NodeId v);
 
   NodeId num_nodes_ = 0;
   bool undirected_ = false;
@@ -303,6 +295,45 @@ class Graph {
   std::vector<double> out_weight_;
   std::vector<double> in_weight_;
   double total_weight_ = 0.0;
+};
+
+// A batch of logical-edge edits staged against one base graph and applied
+// in a single merge pass (the one mutation path: the Graph mutators above
+// and dynamic::ApplyEditBatch both run through it).
+//
+// Each call validates against the base as already edited by the calls
+// before it, with the Graph mutators' codes and messages, so inserting,
+// deleting and re-inserting one edge within a batch behaves exactly like
+// the same sequence of mutator calls. A rejected call stages nothing. The
+// staged state is a small overlay keyed by logical edge (the unordered
+// pair on undirected graphs): O(log b) per call after an O(log deg)
+// lookup in the base.
+//
+// Build() returns the edited graph, bit-identical to FromArcs() over its
+// arc list, in O(num_nodes + num_arcs + b log b): each CSR is merged once,
+// untouched row ranges are bulk-copied, and only the edited rows' weight
+// caches are re-summed (the total is re-summed once, in global (src, dst)
+// order). The base must outlive the editor and stay unmodified while it
+// is in use.
+class GraphEditor {
+ public:
+  explicit GraphEditor(const Graph& base) : base_(base) {}
+
+  Status AddEdge(NodeId u, NodeId v, double weight);
+  Status RemoveEdge(NodeId u, NodeId v);
+  Status SetWeight(NodeId u, NodeId v, double weight);
+
+  Graph Build() const;
+
+ private:
+  // Overlay key of the logical edge {u,v} (ordered (u,v) when directed).
+  uint64_t Key(NodeId u, NodeId v) const;
+  // Weight of (u,v) after the staged edits; 0 when absent.
+  double CurrentWeight(NodeId u, NodeId v) const;
+
+  const Graph& base_;
+  // Logical edge -> its weight after the staged edits (0 = absent).
+  std::map<uint64_t, double> staged_;
 };
 
 }  // namespace qsc
