@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The documentation link gate, runnable locally: every intra-repo
 # markdown link and every source-file path named in README.md and
-# docs/*.md must point at a file that exists, every `paper/<name>`
-# scenario they name must be registered under src/qsc/bench/, and none
-# may name the retired build/bench/ binaries. The CI `format` job runs
-# exactly this script, so docs cannot drift silently when files move.
+# docs/*.md must point at a file that exists, every `paper/<name>` and
+# `check/<name>` scenario they name must be registered under
+# src/qsc/bench/, and none may name the retired build/bench/ binaries or
+# the retired evaluation CLI. The CI `format` job runs exactly this
+# script, so docs cannot drift silently when files move.
 #
 #   scripts/check-doc-links.sh
 set -euo pipefail
@@ -59,8 +60,15 @@ for doc in "${docs[@]}"; do
   done < <(grep -oE 'build/bench/|\bbench_[A-Za-z0-9_]+' "$doc" |
            grep -vE '_test$|^bench_build$' | sort -u)
 
-  # Every paper/<name> scenario named must be registered by that exact
-  # string literal; a paper/<prefix>* glob must match at least one.
+  # The evaluation CLI was folded into qsc_bench's check/ group. (The
+  # bracket keeps this script out of a plain search for the name.)
+  while IFS= read -r mention; do
+    fail "$doc" "retired evaluation CLI ($mention)"
+  done < <(grep -oE '\bqsc_[e]val\b' "$doc" | sort -u)
+
+  # Every paper/<name> or check/<name> scenario named must be registered
+  # by that exact string literal; a <group>/<prefix>* glob must match at
+  # least one.
   while IFS= read -r scenario; do
     case "$scenario" in
       *'*') literal="\"${scenario%\*}" ;;
@@ -69,7 +77,7 @@ for doc in "${docs[@]}"; do
     if ! grep -rqF "$literal" src/qsc/bench/; then
       fail "$doc" "unregistered scenario $scenario"
     fi
-  done < <(grep -oE '\bpaper/[A-Za-z0-9_-]+\*?' "$doc" | sort -u)
+  done < <(grep -oE '\b(paper|check)/[A-Za-z0-9_-]+\*?' "$doc" | sort -u)
 done
 
 if [[ "$failures" -gt 0 ]]; then

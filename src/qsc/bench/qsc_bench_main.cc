@@ -10,6 +10,10 @@
 //   qsc_bench --suite smoke --json          # the CI benchmark job
 //   qsc_bench --scenario coloring/rothko-ba-100k-c256 --repeats 9
 //   qsc_bench --scenario paper/fig3-lp-example
+//   qsc_bench --scenario check/lp-qap --warmup 0 --repeats 1
+//
+// A run exits 1 after writing its report when a scenario reports a
+// failure (a check/ invariant violation).
 //
 // Compare mode gates a fresh run against a committed baseline: counters
 // must match exactly, medians within a noise tolerance.
@@ -154,6 +158,23 @@ int RunCompare(const std::string& baseline_path,
   return report.ok() ? 0 : 1;
 }
 
+// Prints every scenario failure (a check/ invariant violation) and
+// returns the run's exit code: 1 when any scenario failed, else 0.
+int ReportFailures(const BenchReport& report) {
+  std::fflush(stdout);  // the report first, then the failures after it
+  int failed = 0;
+  for (const ScenarioResult& r : report.results) {
+    for (const std::string& failure : r.failures) {
+      std::fprintf(stderr, "FAIL %s: %s\n", r.name.c_str(), failure.c_str());
+    }
+    failed += r.failures.empty() ? 0 : 1;
+  }
+  if (failed > 0) {
+    std::fprintf(stderr, "qsc_bench: %d scenario(s) failed\n", failed);
+  }
+  return failed > 0 ? 1 : 0;
+}
+
 int Main(int argc, char** argv) {
   RegisterBuiltinScenarios();
 
@@ -280,7 +301,7 @@ int Main(int argc, char** argv) {
       }
       std::printf("wrote %s\n", path.c_str());
     }
-    return 0;
+    return ReportFailures(report);
   }
 
   for (const std::string& group : ReportGroups(report)) {
@@ -310,7 +331,7 @@ int Main(int argc, char** argv) {
       std::printf("\n");
     }
   }
-  return 0;
+  return ReportFailures(report);
 }
 
 }  // namespace

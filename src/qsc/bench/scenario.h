@@ -1,12 +1,12 @@
-// The perf-scenario registry (the bench-side sibling of
-// qsc/eval/workload.h). A scenario is one named, seeded measurement:
-// instance construction is excluded from timing, the measured closure is a
-// complete unit of work (e.g. one full Rothko refinement, one eval
-// pipeline sweep), and every metric value a scenario reports is
-// deterministic given (scenario, seed) — wall-clock and RSS are the only
-// machine-dependent outputs. That split is what lets CI diff committed
-// baseline JSON against a fresh run: counters must match exactly, timings
-// within a noise tolerance (docs/BENCHMARKING.md).
+// The scenario registry of qsc_bench, the one experiment front-end. A
+// scenario is one named, seeded measurement: instance construction is
+// excluded from timing, the measured closure is a complete unit of work
+// (e.g. one full Rothko refinement, one eval pipeline sweep), and every
+// metric value a scenario reports is deterministic given (scenario, seed)
+// — wall-clock and RSS are the only machine-dependent outputs. That split
+// is what lets CI diff committed baseline JSON against a fresh run:
+// counters must match exactly, timings within a noise tolerance
+// (docs/BENCHMARKING.md).
 
 #ifndef QSC_BENCH_SCENARIO_H_
 #define QSC_BENCH_SCENARIO_H_
@@ -58,6 +58,11 @@ struct ScenarioResult {
   // scenario). Printed by qsc_bench's human mode, never serialized.
   std::vector<std::string> table_header;
   std::vector<std::vector<std::string>> table_rows;
+
+  // Correctness failures (the invariant violations of a check/ scenario),
+  // one line each. Any entry fails the run: qsc_bench prints them and
+  // exits 1 after writing its report.
+  std::vector<std::string> failures;
 };
 
 // One registered perf scenario.
@@ -109,9 +114,16 @@ class ScenarioRegistry {
 
 // Registers the builtin perf scenarios (scenarios.cc): Rothko refinement
 // on Barabási–Albert / Erdős–Rényi / segmentation-grid graphs at 10k-200k
-// nodes, the end-to-end eval pipelines, and every group below.
+// nodes, the solver kernels and session scenarios, and every group below.
 // Idempotent; call before Find()/List().
 void RegisterBuiltinScenarios();
+
+// The "check" group (scenarios_check.cc): one scenario per small seeded
+// instance, each running its area's pipeline and the DifferentialRunner
+// invariants (eval/differential.h); a violation fails the run. Also
+// registers the three pipelines/ end-to-end sweeps over the same
+// instances. Called by RegisterBuiltinScenarios().
+void RegisterCheckScenarios();
 
 // The "serving" group (scenarios_serving.cc): seeded workload traces
 // replayed against a Compressor session by the qsc/workload load runner.
@@ -125,7 +137,8 @@ void RegisterFlowScenarios();
 
 // The "backends" group (scenarios_backends.cc): every registered coloring
 // backend swept over color budgets on one shared instance, emitting
-// per-backend Pareto counters. Called by RegisterBuiltinScenarios().
+// per-backend Pareto counters and a (backend, budget, colors, max q)
+// detail table. Called by RegisterBuiltinScenarios().
 void RegisterBackendScenarios();
 
 // The "dynamic" group (scenarios_dynamic.cc): seeded edit-stream churn

@@ -1,14 +1,15 @@
 // Builtin perf scenarios (see docs/BENCHMARKING.md for the registry
-// contract). Four groups, plus "backends", "dynamic" and "paper"
-// (scenarios_{backends,dynamic,paper}.cc):
+// contract). Four groups, plus "backends", "check", "dynamic" and "paper"
+// (scenarios_{backends,check,dynamic,paper}.cc):
 //
 //  - "coloring": the refiner and its kernels on synthetic graphs at
 //    10k-200k nodes. The headline scenario is rothko-ba-100k-c256 —
 //    Rothko refinement of a 100k-node scale-free graph to 256 colors —
 //    whose baseline records the flat sparse-row speedup.
-//  - "pipelines": end-to-end instance -> coloring -> solve -> error runs
-//    through qsc/eval, plus the solver kernels and the Compressor
-//    session-amortization scenarios.
+//  - "pipelines": the solver kernels and the Compressor
+//    session-amortization scenarios, plus three end-to-end instance ->
+//    coloring -> solve -> error sweeps over check/ instances
+//    (scenarios_check.cc).
 //  - "serving": workload traces replayed against a Compressor session by
 //    the qsc/workload load runner (scenarios_serving.cc).
 //  - "flow": the max-flow solvers on the CSR ResidualNetwork, straight
@@ -36,8 +37,6 @@
 #include "qsc/coloring/reduced_graph.h"
 #include "qsc/coloring/rothko.h"
 #include "qsc/coloring/stable.h"
-#include "qsc/eval/suites.h"
-#include "qsc/eval/workload.h"
 #include "qsc/flow/push_relabel.h"
 #include "qsc/graph/generators.h"
 #include "qsc/lp/generators.h"
@@ -49,10 +48,6 @@
 namespace qsc {
 namespace bench {
 namespace {
-
-std::string BudgetKey(ColorId budget, const char* metric) {
-  return "b" + std::to_string(budget) + "_" + metric;
-}
 
 // --- coloring group ------------------------------------------------------
 
@@ -269,44 +264,6 @@ void RegisterColoringScenarios() {
 }
 
 // --- pipelines group -----------------------------------------------------
-
-// End-to-end eval workload: one timed unit is the full budget sweep
-// (coloring + reduction + solve at every budget) including the exact
-// oracle.
-void RegisterEvalPipeline(const char* name, bool smoke,
-                          const char* description,
-                          const char* workload_name) {
-  Scenario::Info info;
-  info.name = name;
-  info.group = "pipelines";
-  info.description = description;
-  info.smoke = smoke;
-  ScenarioRegistry::Global().Register(
-      Scenario(std::move(info), [workload_name](const BenchContext& ctx) {
-        const eval::Workload* w =
-            eval::WorkloadRegistry::Global().Find(workload_name);
-        QSC_CHECK(w != nullptr);
-        eval::EvalOptions options;
-        options.seed = ctx.seed;
-        eval::WorkloadResult res;
-        ScenarioResult r;
-        r.timing =
-            MeasureSeconds(ctx.measure, [&] { res = w->Run(options); });
-        for (const eval::RunMetrics& m : res.runs) {
-          r.counters.push_back({BudgetKey(m.color_budget, "colors"),
-                                static_cast<double>(m.num_colors)});
-          r.counters.push_back({BudgetKey(m.color_budget, "max_q"), m.max_q});
-          if (w->area() == eval::Application::kCentrality) {
-            r.counters.push_back(
-                {BudgetKey(m.color_budget, "rho"), m.rank_correlation});
-          } else {
-            r.counters.push_back(
-                {BudgetKey(m.color_budget, "rel_err"), m.relative_error});
-          }
-        }
-        return r;
-      }));
-}
 
 void RegisterSolverKernels() {
   RegisterKernel(
@@ -620,19 +577,7 @@ void RegisterCompressorParallelFlow() {
 
 void RegisterBuiltinScenarios() {
   static const bool registered = [] {
-    eval::RegisterBuiltinWorkloads();
     RegisterColoringScenarios();
-    RegisterEvalPipeline(
-        "pipelines/flow-seg-grid", /*smoke=*/true,
-        "end-to-end max-flow pipeline on the builtin seg-grid workload",
-        "maxflow/seg-grid");
-    RegisterEvalPipeline(
-        "pipelines/lp-qap", /*smoke=*/true,
-        "end-to-end LP pipeline on the builtin qap workload", "lp/qap");
-    RegisterEvalPipeline(
-        "pipelines/centrality-powerlaw", /*smoke=*/true,
-        "end-to-end centrality pipeline on the builtin powerlaw workload",
-        "centrality/powerlaw");
     RegisterSolverKernels();
     RegisterCompressorBatchFlow();
     RegisterCompressorColdFlow();
@@ -641,6 +586,7 @@ void RegisterBuiltinScenarios() {
     RegisterServingScenarios();
     RegisterFlowScenarios();
     RegisterBackendScenarios();
+    RegisterCheckScenarios();
     RegisterDynamicScenarios();
     RegisterPaperScenarios();
     return true;

@@ -1,9 +1,10 @@
 // The "backends" scenario group: every registered compression backend
 // refined over one shared instance, emitting a small Pareto front (colors
-// reached vs. max q-error at each budget rung) per backend. The counters
-// pin each kernel's split decisions — a kernel change that moves any
-// partition shows up as a baseline diff — while the timing tracks the
-// aggregate cost of the sweep.
+// reached vs. max q-error at each budget rung) per backend, as counters
+// and as the scenario's detail table. The counters pin each kernel's
+// split decisions — a kernel change that moves any partition shows up as
+// a baseline diff — while the timing tracks the aggregate cost of the
+// sweep.
 
 #include <iterator>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "qsc/coloring/q_error.h"
 #include "qsc/graph/generators.h"
 #include "qsc/util/random.h"
+#include "qsc/util/table.h"
 
 namespace qsc {
 namespace bench {
@@ -49,8 +51,10 @@ void RegisterParetoBa10k() {
                     {"arcs", static_cast<double>(g.num_arcs())},
                     {"budget_rungs",
                      static_cast<double>(std::size(kBudgets))}};
+        r.table_header = {"backend", "budget", "colors", "max q"};
         r.timing = MeasureSeconds(ctx.measure, [&] {
           r.counters.clear();
+          r.table_rows.clear();
           for (const std::string& name : names) {
             ColoringParams params;
             std::unique_ptr<ColoringBackend> backend =
@@ -60,12 +64,16 @@ void RegisterParetoBa10k() {
               while (backend->partition().num_colors() < budget &&
                      backend->Step(budget)) {
               }
+              const ColorId colors = backend->partition().num_colors();
+              const double max_q = ComputeQError(g, backend->partition()).max_q;
               r.counters.emplace_back(
                   name + "_colors_" + std::to_string(budget),
-                  static_cast<double>(backend->partition().num_colors()));
+                  static_cast<double>(colors));
               r.counters.emplace_back(
-                  name + "_max_q_" + std::to_string(budget),
-                  ComputeQError(g, backend->partition()).max_q);
+                  name + "_max_q_" + std::to_string(budget), max_q);
+              r.table_rows.push_back({name, std::to_string(budget),
+                                      std::to_string(colors),
+                                      FormatDouble(max_q, 3)});
             }
           }
         });

@@ -4,9 +4,9 @@
 // A ColoringBackend is a live anytime refiner: the exact contract the
 // session-level ColoringCache depends on. Any kernel that honors it can be
 // registered under a name and served through qsc::Compressor — specs name
-// their backend, cache keys and byte budgets account per backend, and the
-// eval harness scores every registered kernel on the same
-// accuracy-vs-compression axes (qsc_eval --backend).
+// their backend, cache keys and byte budgets account per backend, and
+// qsc_bench's backends/ group scores every registered kernel on the same
+// colors-vs-q-error axes.
 //
 // Contract (what the cache relies on; see docs/API.md "Backends"):
 //

@@ -13,8 +13,13 @@
 #include "qsc/coloring/backend.h"
 #include "qsc/coloring/rothko.h"
 #include "qsc/dynamic/incremental.h"
+#include "qsc/flow/dinic.h"
+#include "qsc/flow/edmonds_karp.h"
 #include "qsc/flow/min_cut.h"
+#include "qsc/flow/push_relabel.h"
+#include "qsc/lp/interior_point.h"
 #include "qsc/lp/reduce.h"
+#include "qsc/lp/simplex.h"
 #include "qsc/util/stats.h"
 
 namespace qsc {
@@ -41,7 +46,7 @@ struct Checker {
 
 // Resolves a raw EvalOptions::backend to its registered canonical name;
 // an unresolvable name is a reported violation, not an abort, so a bad
-// --backend shows up in the differential report like any other finding.
+// backend name shows up in the differential report like any other finding.
 bool ResolveBackendName(const std::string& raw, std::string* canonical,
                         Checker& check) {
   const StatusOr<std::string> name = CanonicalBackendName(raw);
@@ -89,34 +94,6 @@ std::string DifferentialReport::Summary() const {
 
 DifferentialRunner::DifferentialRunner(EvalOptions options)
     : options_(std::move(options)) {}
-
-DifferentialReport DifferentialRunner::Check(const Workload& workload) const {
-  const std::vector<ColorId> budgets =
-      NormalizeBudgets(options_.color_budgets.empty()
-                           ? workload.info().default_budgets
-                           : options_.color_budgets);
-  DifferentialReport report;
-  // Workload is open for subclassing, so an area() tag alone does not
-  // prove the concrete type; a custom subclass we cannot instantiate is a
-  // reported finding, not undefined behavior.
-  if (const auto* flow = dynamic_cast<const FlowWorkload*>(&workload)) {
-    report = CheckMaxFlow(flow->Instantiate(options_.seed), budgets);
-  } else if (const auto* lp = dynamic_cast<const LpWorkload*>(&workload)) {
-    report = CheckLp(lp->Instantiate(options_.seed), budgets);
-  } else if (const auto* cent =
-                 dynamic_cast<const CentralityWorkload*>(&workload)) {
-    report = CheckCentrality(cent->Instantiate(options_.seed), budgets);
-  } else {
-    report.area = workload.area();
-    report.seed = options_.seed;
-    report.violations.push_back(
-        {"differential/unsupported-workload",
-         "workload '" + workload.name() +
-             "' is not a Flow/Lp/CentralityWorkload; no instance to check"});
-  }
-  report.workload = workload.name();
-  return report;
-}
 
 void DifferentialRunner::CheckColoringAnytime(
     const Graph& g, double alpha, double beta,
@@ -187,17 +164,12 @@ DifferentialReport DifferentialRunner::CheckMaxFlow(
     const FlowInstance& instance, std::vector<ColorId> budgets) const {
   budgets = NormalizeBudgets(std::move(budgets));
   DifferentialReport report;
-  report.area = Application::kMaxFlow;
-  report.seed = options_.seed;
   Checker check{&report};
 
   const Graph& g = instance.graph;
-  const double dinic = SolveMaxFlowExact(FlowSolver::kDinic, g,
-                                         instance.source, instance.sink);
-  const double ek = SolveMaxFlowExact(FlowSolver::kEdmondsKarp, g,
-                                      instance.source, instance.sink);
-  const double pr = SolveMaxFlowExact(FlowSolver::kPushRelabel, g,
-                                      instance.source, instance.sink);
+  const double dinic = MaxFlowDinic(g, instance.source, instance.sink);
+  const double ek = MaxFlowEdmondsKarp(g, instance.source, instance.sink);
+  const double pr = MaxFlowPushRelabel(g, instance.source, instance.sink);
   check.Expect(std::abs(dinic - ek) <= EqTol(pr), "flow/solver-agreement",
                Fmt("Dinic %.12g vs Edmonds-Karp %.12g", dinic, ek));
   check.Expect(std::abs(dinic - pr) <= EqTol(pr), "flow/solver-agreement",
@@ -253,12 +225,10 @@ DifferentialReport DifferentialRunner::CheckLp(
     const LpProblem& lp, std::vector<ColorId> budgets) const {
   budgets = NormalizeBudgets(std::move(budgets));
   DifferentialReport report;
-  report.area = Application::kLp;
-  report.seed = options_.seed;
   Checker check{&report};
 
-  const LpResult simplex = SolveLpExact(LpOracle::kSimplex, lp);
-  const LpResult ipm = SolveLpExact(LpOracle::kInteriorPoint, lp);
+  const LpResult simplex = SolveSimplex(lp);
+  const IpmResult ipm = SolveInteriorPoint(lp);
   check.Expect(simplex.status == LpStatus::kOptimal, "lp/simplex-optimal",
                "simplex did not reach optimality");
   check.Expect(ipm.status == LpStatus::kOptimal, "lp/ipm-optimal",
@@ -347,8 +317,6 @@ DifferentialReport DifferentialRunner::CheckCentrality(
     const Graph& g, std::vector<ColorId> budgets) const {
   budgets = NormalizeBudgets(std::move(budgets));
   DifferentialReport report;
-  report.area = Application::kCentrality;
-  report.seed = options_.seed;
   Checker check{&report};
 
   const std::vector<double> exact = BetweennessExact(g);
@@ -402,15 +370,11 @@ DifferentialReport DifferentialRunner::CheckCentrality(
 DifferentialReport DifferentialRunner::CheckDynamic(
     const Graph& g, const DynamicCheckOptions& dyn) const {
   DifferentialReport report;
-  report.workload = "dynamic/incremental-recoloring";
-  report.seed = options_.seed;
   Checker check{&report};
   std::string name;
   if (!ResolveBackendName(options_.backend, &name, check)) return report;
 
-  const std::vector<ColorId> budgets = NormalizeBudgets(
-      options_.color_budgets.empty() ? std::vector<ColorId>{4, 8, 16, 32}
-                                     : options_.color_budgets);
+  const std::vector<ColorId> budgets{4, 8, 16, 32};
   ColoringParams params;
   params.split_mean = options_.split_mean;
   params.q_tolerance = dyn.q_tolerance;

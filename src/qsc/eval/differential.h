@@ -1,7 +1,8 @@
-// Differential testing layer: fans a workload instance through the
-// approximate solvers AND their exact oracles and checks the paper's
-// invariants rather than golden numbers, so every seeded instance is a test
-// case. Checked per area:
+// Differential testing layer: fans an instance through the approximate
+// solvers AND their exact oracles and checks the paper's invariants rather
+// than golden numbers, so every seeded instance is a test case. qsc_bench's
+// check/ scenarios run it on their instances, and any violation fails the
+// run. Checked per area:
 //
 //   max-flow   - Dinic, Edmonds-Karp and push-relabel agree; the min cut
 //                certifies the flow (strong duality); the c^2 reduced-graph
@@ -39,7 +40,7 @@
 #include <vector>
 
 #include "qsc/dynamic/edit_stream.h"
-#include "qsc/eval/workload.h"
+#include "qsc/eval/pipelines.h"
 #include "qsc/graph/generators.h"
 #include "qsc/graph/graph.h"
 #include "qsc/lp/model.h"
@@ -65,16 +66,13 @@ struct InvariantViolation {
 };
 
 struct DifferentialReport {
-  std::string workload;
-  Application area = Application::kMaxFlow;
-  uint64_t seed = 0;
   int64_t checks = 0;  // individual assertions evaluated
   std::vector<InvariantViolation> violations;
 
   bool ok() const { return violations.empty(); }
 
   // "42 checks, 0 violations" or a newline-separated violation list; meant
-  // for test failure messages and the CLI.
+  // for test failure messages.
   std::string Summary() const;
 };
 
@@ -82,11 +80,8 @@ class DifferentialRunner {
  public:
   explicit DifferentialRunner(EvalOptions options);
 
-  // Instantiates `workload` at options.seed and runs its area's invariant
-  // suite over the budget sweep.
-  DifferentialReport Check(const Workload& workload) const;
-
-  // Area entry points for instances that are not registered workloads.
+  // Area entry points: each runs its area's invariant suite on the
+  // instance over the budget sweep.
   DifferentialReport CheckMaxFlow(const FlowInstance& instance,
                                   std::vector<ColorId> budgets) const;
   DifferentialReport CheckLp(const LpProblem& lp,
@@ -97,7 +92,7 @@ class DifferentialRunner {
   // Incremental-recoloring oracle (docs/DYNAMIC.md): replays the seeded
   // edit stream over `g` through an IncrementalRecolorer on the selected
   // backend and checks, at every checkpoint and every budget of the
-  // options' sweep (ascending), the dynamic serving bound
+  // sweep {4, 8, 16, 32}, the dynamic serving bound
   //     q_incremental <= max(q_scratch, q_tolerance)
   // against a fresh from-scratch refiner on the mutated graph — exactly,
   // not within a tolerance. Batches that fall back (and every batch at

@@ -1,9 +1,8 @@
-// Minimal streaming JSON writer for the evaluation harness. The eval CLI
-// and the benchmark trajectories emit machine-readable per-run records;
-// this writer guarantees two properties the harness relies on: output is
-// always well-formed JSON, and a given double renders to the same text on
-// every run (shortest round-trippable form), so equal metrics compare equal
-// as strings.
+// Minimal streaming JSON writer. qsc_bench's BENCH_*.json reports and the
+// serving benchmark's run records are written with it; it guarantees two
+// properties those consumers rely on: output is always well-formed JSON,
+// and a given double renders to the same text on every run (shortest
+// round-trippable form), so equal metrics compare equal as strings.
 
 #ifndef QSC_EVAL_JSON_H_
 #define QSC_EVAL_JSON_H_

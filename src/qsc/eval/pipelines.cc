@@ -9,6 +9,9 @@
 #include "qsc/api/compressor.h"
 #include "qsc/centrality/brandes.h"
 #include "qsc/coloring/q_error.h"
+#include "qsc/flow/push_relabel.h"
+#include "qsc/lp/interior_point.h"
+#include "qsc/util/check.h"
 #include "qsc/util/stats.h"
 #include "qsc/util/timer.h"
 
@@ -25,13 +28,20 @@ std::shared_ptr<const Graph> Borrow(const Graph& g) {
 
 }  // namespace
 
+std::vector<ColorId> NormalizeBudgets(std::vector<ColorId> budgets) {
+  QSC_CHECK(!budgets.empty());
+  std::sort(budgets.begin(), budgets.end());
+  budgets.erase(std::unique(budgets.begin(), budgets.end()), budgets.end());
+  return budgets;
+}
+
 std::vector<RunMetrics> RunMaxFlowPipeline(const FlowInstance& instance,
                                            const EvalOptions& options,
                                            std::vector<ColorId> budgets) {
   budgets = NormalizeBudgets(std::move(budgets));
   WallTimer timer;
-  const double exact = SolveMaxFlowExact(options.flow_solver, instance.graph,
-                                         instance.source, instance.sink);
+  const double exact =
+      MaxFlowPushRelabel(instance.graph, instance.source, instance.sink);
   const double exact_seconds = timer.ElapsedSeconds();
 
   // One session across the whole sweep: each budget continues the cached
@@ -81,7 +91,7 @@ std::vector<RunMetrics> RunLpPipeline(const LpProblem& lp,
   for (ColorId& budget : budgets) budget = std::max<ColorId>(budget, 4);
   budgets = NormalizeBudgets(std::move(budgets));
   WallTimer timer;
-  const LpResult exact = SolveLpExact(options.lp_oracle, lp);
+  const IpmResult exact = SolveInteriorPoint(lp);
   const double exact_seconds = timer.ElapsedSeconds();
   const bool exact_ok = exact.status == LpStatus::kOptimal;
 

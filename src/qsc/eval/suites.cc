@@ -1,8 +1,5 @@
 #include "qsc/eval/suites.h"
 
-#include <memory>
-#include <utility>
-
 #include "qsc/graph/datasets.h"
 #include "qsc/lp/generators.h"
 #include "qsc/util/random.h"
@@ -96,85 +93,6 @@ std::vector<NamedLp> LpSuite() {
       {"support-sim", "supportcase10", MakeWideSupportLp(12, 403)});
   out.push_back({"ex10-sim", "ex10", MakeTallLp(9, 404)});
   return out;
-}
-
-namespace {
-
-void RegisterAll(WorkloadRegistry& registry) {
-  // --- max-flow scenarios -------------------------------------------
-  registry.Register(std::make_unique<FlowWorkload>(
-      WorkloadInfo{"maxflow/seg-grid", Application::kMaxFlow,
-                   "48x24 segmentation grid with 2 foreground objects "
-                   "(small Tsukuba-style instance)",
-                   {5, 10, 20, 35}},
-      [](Rng& rng) { return SegmentationGridNetwork(48, 24, 2, rng); }));
-  registry.Register(std::make_unique<FlowWorkload>(
-      WorkloadInfo{"maxflow/grid", Application::kMaxFlow,
-                   "16x8 4-connected grid network with random integer "
-                   "capacities",
-                   {5, 10, 20, 40}},
-      [](Rng& rng) { return GridFlowNetwork(16, 8, 10, 30, rng); }));
-  registry.Register(std::make_unique<FlowWorkload>(
-      WorkloadInfo{"maxflow/layered", Application::kMaxFlow,
-                   "Example-7 layered diagonal network (adversarial gap "
-                   "between the Theorem-6 bounds); ignores the seed",
-                   {4, 8, 14}},
-      [](Rng&) { return LayeredDiagonalNetwork(6, 12); }));
-
-  // --- LP scenarios -------------------------------------------------
-  registry.Register(std::make_unique<LpWorkload>(
-      WorkloadInfo{"lp/qap", Application::kLp,
-                   "qap15-style assignment polytope stand-in, scale 5",
-                   {8, 16, 30}},
-      [](Rng& rng) { return MakeQapLikeLp(5, rng.Next()); }));
-  registry.Register(std::make_unique<LpWorkload>(
-      WorkloadInfo{"lp/block", Application::kLp,
-                   "block-structured LP, 4x4 groups of 6, 5% noise",
-                   {8, 16, 32}},
-      [](Rng& rng) {
-        BlockLpSpec spec;
-        spec.num_row_groups = 4;
-        spec.num_col_groups = 4;
-        spec.rows_per_group = 6;
-        spec.cols_per_group = 6;
-        spec.seed = rng.Next();
-        return MakeBlockLp(spec);
-      }));
-  registry.Register(std::make_unique<LpWorkload>(
-      WorkloadInfo{"lp/wide", Application::kLp,
-                   "supportcase10-style wide LP (cols >> rows), scale 6",
-                   {8, 16, 30}},
-      [](Rng& rng) { return MakeWideSupportLp(6, rng.Next()); }));
-
-  // --- centrality scenarios -----------------------------------------
-  registry.Register(std::make_unique<CentralityWorkload>(
-      WorkloadInfo{"centrality/powerlaw", Application::kCentrality,
-                   "Chung-Lu power-law graph, 600 nodes / ~2400 edges, "
-                   "gamma 2.6",
-                   {10, 25, 50}},
-      [](Rng& rng) { return PowerLawGraph(600, 2400, 2.6, rng); }));
-  registry.Register(std::make_unique<CentralityWorkload>(
-      WorkloadInfo{"centrality/ba", Application::kCentrality,
-                   "Barabasi-Albert preferential attachment, 400 nodes, "
-                   "3 edges per node",
-                   {10, 25, 50}},
-      [](Rng& rng) { return BarabasiAlbert(400, 3, rng); }));
-  registry.Register(std::make_unique<CentralityWorkload>(
-      WorkloadInfo{"centrality/karate", Application::kCentrality,
-                   "Zachary's karate club (real dataset, Figure 1); "
-                   "ignores the seed",
-                   {4, 6, 10}},
-      [](Rng&) { return KarateClub(); }));
-}
-
-}  // namespace
-
-void RegisterBuiltinWorkloads() {
-  static const bool registered = [] {
-    RegisterAll(WorkloadRegistry::Global());
-    return true;
-  }();
-  (void)registered;
 }
 
 }  // namespace eval

@@ -1,12 +1,8 @@
-// Named instance suites and the builtin workload registrations.
-//
-// The *suites* are the stand-ins for the paper's Table 2/3 datasets (see
-// DESIGN.md §3), generated at their canonical seeds; qsc_bench's paper/
-// scenarios draw their instances from here so the experiment index stays
-// consistent.
-// The *builtin workloads* are smaller seeded scenarios registered with the
-// WorkloadRegistry for the qsc_eval CLI and the differential test layer —
-// one or more per application area, fast enough to run in CI.
+// Named instance suites: the stand-ins for the paper's Table 2/3 datasets
+// (see DESIGN.md §3), generated at their canonical seeds. qsc_bench's
+// paper/ scenarios draw their instances from here so the experiment index
+// stays consistent; the smaller seeded instances of the check/ scenarios
+// live in their own table (bench/scenarios_check.cc).
 
 #ifndef QSC_EVAL_SUITES_H_
 #define QSC_EVAL_SUITES_H_
@@ -14,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "qsc/eval/workload.h"
 #include "qsc/graph/generators.h"
 #include "qsc/graph/graph.h"
 #include "qsc/lp/model.h"
@@ -55,10 +50,6 @@ struct NamedLp {
 
 // Table 3: qap15, nug08-3rd, supportcase10, ex10 stand-ins.
 std::vector<NamedLp> LpSuite();
-
-// Registers the builtin scenarios with WorkloadRegistry::Global().
-// Idempotent; call before Find()/List().
-void RegisterBuiltinWorkloads();
 
 }  // namespace eval
 }  // namespace qsc

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -9,12 +11,31 @@
 namespace qsc {
 namespace {
 
+// (src, dst) in one word, so one compare orders by both (node ids are
+// non-negative).
+uint64_t ArcKey(const EdgeTriple& a) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(a.src)) << 32) |
+         static_cast<uint32_t>(a.dst);
+}
+
+uint64_t WeightBits(double weight) {
+  uint64_t bits;
+  std::memcpy(&bits, &weight, sizeof(bits));
+  return bits;
+}
+
 // Sorts arcs by (src, dst), sums duplicates, drops zero-weight aggregates.
+// The weight's bit pattern is the last sort key (a total order, NaN
+// included), so each duplicate group is summed in an order set by its
+// values alone: the two mirrored arcs of an undirected edge, whose groups
+// hold the same weights, get bitwise the same sum.
 std::vector<EdgeTriple> Coalesce(std::vector<EdgeTriple> arcs) {
   std::sort(arcs.begin(), arcs.end(), [](const EdgeTriple& a,
                                          const EdgeTriple& b) {
-    if (a.src != b.src) return a.src < b.src;
-    return a.dst < b.dst;
+    const uint64_t ka = ArcKey(a);
+    const uint64_t kb = ArcKey(b);
+    if (ka != kb) return ka < kb;
+    return WeightBits(a.weight) < WeightBits(b.weight);
   });
   std::vector<EdgeTriple> out;
   out.reserve(arcs.size());

@@ -8,7 +8,7 @@
 // Everything built on these primitives is therefore **bit-identical for
 // every pool size, including 1**: the thread count changes wall-clock
 // time, nothing else. The Rothko split scorer, the Compressor query
-// fan-outs, and the bench/eval `--threads` plumbing all rest on this
+// fan-outs, and qsc_bench's `--threads` plumbing all rest on this
 // contract (enforced by tests/parallel_thread_pool_test.cc and the
 // threads-{1,2,8} legs of tests/coloring_rothko_equivalence_test.cc).
 //
@@ -76,7 +76,7 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// The process-wide pool used by the CLI layers (qsc_bench / qsc_eval
+// The process-wide pool used by the CLI layer (qsc_bench
 // `--threads N`). Starts at 1 thread (sequential); SetDefaultPoolThreads
 // recreates it and must only be called while no work is in flight —
 // i.e. from startup code, before the pool is shared.

@@ -402,11 +402,7 @@ TEST(EditBatchFuzz, MixedBatchesMatchFromArcsModel) {
                          static_cast<NodeId>(rng.NextBounded(n)),
                          FuzzWeight(rng)});
       }
-      // FromArcs stores each undirected edge's two arcs with one weight
-      // (FromEdges may leave its mirrors an ulp apart after summing
-      // duplicates), which is the state the mutators keep.
-      const Graph raw = Graph::FromEdges(n, edges, undirected);
-      const Graph g = Graph::FromArcs(n, raw.Arcs(), undirected);
+      const Graph g = Graph::FromEdges(n, edges, undirected);
       const Graph before = g;
       EdgeModel model;
       for (const EdgeTriple& a : g.Arcs()) {

@@ -18,7 +18,7 @@
 #include "qsc/coloring/backend.h"
 #include "qsc/dynamic/edit_stream.h"
 #include "qsc/eval/differential.h"
-#include "qsc/eval/workload.h"
+#include "qsc/eval/pipelines.h"
 #include "qsc/graph/graph.h"
 
 #include "rothko_corpus.h"

@@ -15,7 +15,7 @@
 
 #include "qsc/coloring/backend.h"
 #include "qsc/eval/differential.h"
-#include "qsc/eval/workload.h"
+#include "qsc/eval/pipelines.h"
 #include "qsc/graph/generators.h"
 #include "qsc/lp/generators.h"
 

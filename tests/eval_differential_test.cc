@@ -1,52 +1,36 @@
-// Tests for the differential runner: every builtin workload passes its
-// area's invariant suite under several seeds, the adversarial Example-7
-// network exercises the Theorem-6 gap without violating the bound
-// directions, and the report machinery itself (check counting, summary
-// formatting) behaves.
+// Tests for the differential runner: the geometric split mean passes the
+// invariant suite (bench_check_test covers the check/ scenarios under
+// several seeds), the adversarial Example-7 network exercises the
+// Theorem-6 gap without violating the bound directions, and the report
+// machinery itself (check counting, summary formatting) behaves.
 
 #include "qsc/eval/differential.h"
 
 #include <gtest/gtest.h>
 
-#include "qsc/eval/suites.h"
-#include "qsc/eval/workload.h"
 #include "qsc/graph/generators.h"
 #include "qsc/lp/generators.h"
+#include "qsc/util/random.h"
 
 namespace qsc {
 namespace eval {
 namespace {
 
-TEST(DifferentialRunnerTest, AllBuiltinWorkloadsPassUnderMultipleSeeds) {
-  RegisterBuiltinWorkloads();
-  for (const uint64_t seed : {1ull, 42ull, 987654321ull}) {
-    EvalOptions options;
-    options.seed = seed;
-    const DifferentialRunner runner(options);
-    for (const Workload* w : WorkloadRegistry::Global().List()) {
-      const DifferentialReport report = runner.Check(*w);
-      EXPECT_TRUE(report.ok())
-          << w->name() << " seed " << seed << ": " << report.Summary();
-      EXPECT_GT(report.checks, 0) << w->name();
-      EXPECT_EQ(report.workload, w->name());
-      EXPECT_EQ(report.seed, seed);
-      EXPECT_EQ(report.area, w->area());
-    }
-  }
-}
-
 TEST(DifferentialRunnerTest, GeometricSplitMeanAlsoPasses) {
-  RegisterBuiltinWorkloads();
+  // The check/maxflow-grid and check/centrality-ba instances at seed 5
+  // (the check/ scenarios themselves run the arithmetic default).
   EvalOptions options;
   options.seed = 5;
   options.split_mean = RothkoOptions::SplitMean::kGeometric;
   const DifferentialRunner runner(options);
-  for (const char* name : {"maxflow/grid", "centrality/ba"}) {
-    const Workload* w = WorkloadRegistry::Global().Find(name);
-    ASSERT_NE(w, nullptr);
-    const DifferentialReport report = runner.Check(*w);
-    EXPECT_TRUE(report.ok()) << name << ": " << report.Summary();
-  }
+  Rng flow_rng(5);
+  const DifferentialReport flow = runner.CheckMaxFlow(
+      GridFlowNetwork(16, 8, 10, 30, flow_rng), {5, 10, 20, 40});
+  EXPECT_TRUE(flow.ok()) << "maxflow-grid: " << flow.Summary();
+  Rng graph_rng(5);
+  const DifferentialReport centrality = runner.CheckCentrality(
+      BarabasiAlbert(400, 3, graph_rng), {10, 25, 50});
+  EXPECT_TRUE(centrality.ok()) << "centrality-ba: " << centrality.Summary();
 }
 
 TEST(DifferentialRunnerTest, LayeredDiagonalExercisesTheoremSixGap) {
@@ -62,9 +46,9 @@ TEST(DifferentialRunnerTest, LayeredDiagonalExercisesTheoremSixGap) {
 }
 
 TEST(DifferentialRunnerTest, TallLpFamilyPassesChecks) {
-  // CheckLp always runs BOTH oracles (that is the differential), so
-  // EvalOptions::lp_oracle is irrelevant here; this covers the tall
-  // (rows >> cols) generator family the builtin workloads skip.
+  // CheckLp always runs BOTH oracles (that is the differential); this
+  // covers the tall (rows >> cols) generator family the check/ scenarios
+  // skip.
   const DifferentialRunner runner(EvalOptions{});
   const DifferentialReport report =
       runner.CheckLp(MakeTallLp(4, 21), {8, 16});

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "qsc/eval/differential.h"
-#include "qsc/eval/workload.h"
+#include "qsc/eval/pipelines.h"
 #include "qsc/flow/dinic.h"
 #include "qsc/flow/edmonds_karp.h"
 #include "qsc/flow/min_cut.h"

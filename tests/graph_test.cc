@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "qsc/graph/datasets.h"
+#include "qsc/util/random.h"
 
 namespace qsc {
 namespace {
@@ -143,6 +144,33 @@ TEST(GraphTest, UndirectedSelfLoopDuplicatesCoalesced) {
   EXPECT_EQ(g.num_edges(), 1);
   EXPECT_DOUBLE_EQ(g.ArcWeight(0, 0), 4.0);
   EXPECT_FALSE(g.HasArc(1, 1));
+}
+
+TEST(GraphTest, UndirectedDuplicatesStoreBitwiseSymmetricArcs) {
+  // Duplicates of one undirected edge, in any order and orientation, must
+  // sum to bitwise the same weight on both stored arcs: 2,000 random
+  // 1-9-node graphs with up to 30 edges weighted +-k/10, whose sums are
+  // order-sensitive in the last ulp.
+  Rng rng(0x5e11);
+  int asymmetric = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const NodeId n = static_cast<NodeId>(rng.UniformInt(1, 9));
+    std::vector<EdgeTriple> edges(rng.UniformInt(0, 30));
+    for (EdgeTriple& e : edges) {
+      e.src = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+      e.dst = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+      e.weight = static_cast<double>(rng.UniformInt(-9, 9)) / 10.0;
+    }
+    const Graph g = Graph::FromEdges(n, edges, /*undirected=*/true);
+    bool symmetric = true;
+    for (const EdgeTriple& a : g.Arcs()) {
+      symmetric = symmetric && g.HasArc(a.dst, a.src) &&
+                  g.ArcWeight(a.dst, a.src) == a.weight;
+    }
+    symmetric = symmetric && Graph::FromArcs(n, g.Arcs(), true) == g;
+    asymmetric += symmetric ? 0 : 1;
+  }
+  EXPECT_EQ(asymmetric, 0);
 }
 
 TEST(GraphTest, FromArcsRoundTripsDirectedGraph) {

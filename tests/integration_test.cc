@@ -1,18 +1,22 @@
 // Cross-module integration tests: the full pipelines the paper evaluates,
-// at small scale — driven through the qsc/eval harness (workload registry,
-// pipeline drivers, differential runner) for each of the three
-// applications, plus the paper's headline robustness claim (Figure 2).
+// at small scale — driven through the qsc/eval pipeline drivers and
+// qsc_bench's check/ scenarios (pipeline plus differential runner) for
+// each of the three applications, plus the paper's headline robustness
+// claim (Figure 2).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <string>
+
+#include "qsc/bench/scenario.h"
 #include "qsc/coloring/q_error.h"
 #include "qsc/coloring/reduced_graph.h"
 #include "qsc/coloring/rothko.h"
 #include "qsc/coloring/stable.h"
-#include "qsc/eval/differential.h"
 #include "qsc/eval/pipelines.h"
-#include "qsc/eval/suites.h"
-#include "qsc/eval/workload.h"
 #include "qsc/flow/push_relabel.h"
 #include "qsc/graph/datasets.h"
 #include "qsc/graph/generators.h"
@@ -24,6 +28,24 @@
 
 namespace qsc {
 namespace {
+
+using Counters = std::map<std::string, double>;
+
+Counters RunCheck(const std::string& name, uint64_t seed) {
+  bench::RegisterBuiltinScenarios();
+  const bench::Scenario* scenario =
+      bench::ScenarioRegistry::Global().Find(name);
+  EXPECT_NE(scenario, nullptr) << name;
+  if (scenario == nullptr) return {};
+  bench::BenchContext ctx;
+  ctx.seed = seed;
+  ctx.measure = bench::kSingleShot;
+  Counters out;
+  for (const auto& [key, value] : scenario->Run(ctx).counters) {
+    out[key] = value;
+  }
+  return out;
+}
 
 TEST(IntegrationTest, KarateFigure1) {
   // Stable coloring needs 27 colors; a quasi-stable coloring with q <= 3
@@ -64,25 +86,17 @@ TEST(IntegrationTest, Figure2RobustnessClaim) {
 }
 
 TEST(IntegrationTest, MaxFlowPipelineAccuracy) {
-  // The registered grid workload through the shared pipeline driver: the
-  // c^2 reduction upper-bounds the exact flow and stays a sane
+  // The check/maxflow-grid scenario through the shared pipeline driver:
+  // the c^2 reduction upper-bounds the exact flow and stays a sane
   // approximation at 40 colors.
-  eval::RegisterBuiltinWorkloads();
-  const eval::Workload* w = eval::WorkloadRegistry::Global().Find("maxflow/grid");
-  ASSERT_NE(w, nullptr);
-  eval::EvalOptions options;
-  options.seed = 22;
-  const eval::WorkloadResult result = w->Run(options);
-  ASSERT_FALSE(result.runs.empty());
-  const eval::RunMetrics& finest = result.runs.back();
-  EXPECT_EQ(finest.color_budget, 40);
-  EXPECT_GE(finest.approx_value, finest.exact_value - 1e-6);  // upper bound
-  EXPECT_LE(finest.relative_error, 2.0);
+  const Counters c = RunCheck("check/maxflow-grid", 22);
+  ASSERT_EQ(c.count("b40_approx"), 1u);  // the finest budget is 40
+  EXPECT_GE(c.at("b40_approx"), c.at("exact") - 1e-6);  // upper bound
+  EXPECT_LE(c.at("b40_rel_err"), 2.0);
 }
 
 TEST(IntegrationTest, LpPipelineAccuracy) {
   eval::EvalOptions options;
-  options.lp_oracle = eval::LpOracle::kSimplex;
   const LpProblem lp = MakeQapLikeLp(5, 31);
   const auto runs = eval::RunLpPipeline(lp, options, {30});
   ASSERT_EQ(runs.size(), 1u);
@@ -107,40 +121,29 @@ TEST(IntegrationTest, CentralityPipelineAccuracy) {
   EXPECT_GT(runs[0].rank_correlation, 0.8);
 }
 
-TEST(IntegrationTest, RegisteredWorkloadsPassDifferentialChecks) {
-  // One registered workload per application area through the full
-  // invariant suite (paper bound directions, oracle agreement, anytime
+TEST(IntegrationTest, CheckScenariosPassDifferentialChecks) {
+  // One check/ scenario per application area through the full invariant
+  // suite (paper bound directions, oracle agreement, anytime
   // monotonicity).
-  eval::RegisterBuiltinWorkloads();
-  eval::EvalOptions options;
-  options.seed = 7;
-  options.compute_flow_lower_bound = true;
-  const eval::DifferentialRunner runner(options);
-  for (const char* name :
-       {"maxflow/seg-grid", "lp/block", "centrality/powerlaw"}) {
-    const eval::Workload* w = eval::WorkloadRegistry::Global().Find(name);
-    ASSERT_NE(w, nullptr) << name;
-    const eval::DifferentialReport report = runner.Check(*w);
-    EXPECT_TRUE(report.ok()) << name << ": " << report.Summary();
-    EXPECT_GT(report.checks, 0) << name;
+  for (const char* name : {"check/maxflow-seg-grid", "check/lp-block",
+                           "check/centrality-powerlaw"}) {
+    const Counters c = RunCheck(name, 7);
+    EXPECT_EQ(c.at("violations"), 0.0) << name;
+    EXPECT_GT(c.at("checks"), 0.0) << name;
   }
 }
 
-TEST(IntegrationTest, WorkloadMetricsReproducibleAcrossRuns) {
+TEST(IntegrationTest, CheckCountersReproducibleAcrossRuns) {
   // The reproducibility contract behind BENCH_*.json trajectories: same
-  // (workload, seed) => bitwise-identical metric values, timings excluded.
-  eval::RegisterBuiltinWorkloads();
-  eval::EvalOptions options;
-  options.seed = 1234;
-  for (const char* name : {"maxflow/grid", "lp/qap", "centrality/ba"}) {
-    const eval::Workload* w = eval::WorkloadRegistry::Global().Find(name);
-    ASSERT_NE(w, nullptr) << name;
-    const eval::WorkloadResult a = w->Run(options);
-    const eval::WorkloadResult b = w->Run(options);
-    ASSERT_EQ(a.runs.size(), b.runs.size()) << name;
-    for (size_t i = 0; i < a.runs.size(); ++i) {
-      EXPECT_TRUE(eval::MetricsEquivalent(a.runs[i], b.runs[i]))
-          << name << " budget " << a.runs[i].color_budget;
+  // (scenario, seed) => bitwise-identical counters, timings excluded.
+  for (const char* name :
+       {"check/maxflow-grid", "check/lp-qap", "check/centrality-ba"}) {
+    const Counters a = RunCheck(name, 1234);
+    const Counters b = RunCheck(name, 1234);
+    ASSERT_EQ(a.size(), b.size()) << name;
+    for (const auto& [key, value] : a) {
+      EXPECT_EQ(std::memcmp(&value, &b.at(key), sizeof(double)), 0)
+          << name << " " << key;
     }
   }
 }

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "qsc/eval/differential.h"
-#include "qsc/eval/workload.h"
+#include "qsc/eval/pipelines.h"
 #include "qsc/lp/generators.h"
 #include "qsc/lp/interior_point.h"
 #include "qsc/lp/model.h"
