@@ -21,13 +21,18 @@
 //   qsc_bench --compare bench/baselines/BENCH_coloring.json
 //             BENCH_coloring.json --tolerance 2.0   (one command line)
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "qsc/bench/compare.h"
@@ -271,6 +276,21 @@ int Main(int argc, char** argv) {
   } else {
     for (const Scenario* s : registry.List()) {
       if (suite == "full" || s->info().smoke) selected.push_back(s);
+    }
+  }
+
+  // An unwritable --out-dir fails now, not after every scenario has run.
+  if (json && !selected.empty()) {
+    std::string first_group = selected.front()->info().group;
+    for (const Scenario* s : selected) {
+      first_group = std::min(first_group, s->info().group);
+    }
+    std::error_code error;
+    if (!std::filesystem::is_directory(out_dir, error) ||
+        access(out_dir.c_str(), W_OK) != 0) {
+      std::fprintf(stderr, "qsc_bench: cannot open for writing: %s/%s\n",
+                   out_dir.c_str(), BenchFileName(first_group).c_str());
+      return 2;
     }
   }
 

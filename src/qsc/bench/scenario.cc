@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "qsc/api/hashing.h"
+#include "qsc/graph/graph.h"
 #include "qsc/util/check.h"
 
 namespace qsc {
@@ -42,6 +44,16 @@ std::vector<const Scenario*> ScenarioRegistry::List() const {
               return a->name() < b->name();
             });
   return out;
+}
+
+double ArcChecksum(const Graph& g) {
+  uint64_t h = api_internal::kFnvOffsetBasis;
+  for (const EdgeTriple& a : g.Arcs()) {
+    h = api_internal::HashMixWord(
+        h, (static_cast<uint64_t>(a.src) << 32) | static_cast<uint32_t>(a.dst));
+    h = api_internal::HashMixDouble(h, a.weight);
+  }
+  return static_cast<double>(h & ((uint64_t{1} << 48) - 1));
 }
 
 }  // namespace bench

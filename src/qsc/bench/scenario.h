@@ -21,6 +21,9 @@
 #include "qsc/bench/runner.h"
 
 namespace qsc {
+
+class Graph;
+
 namespace bench {
 
 // Cross-cutting run configuration, set from the qsc_bench CLI.
@@ -152,6 +155,10 @@ void RegisterDynamicScenarios();
 // filling table_header/table_rows with that figure's table. Called by
 // RegisterBuiltinScenarios().
 void RegisterPaperScenarios();
+
+// FNV-1a over every arc's (src, dst, weight bits), folded to 48 bits so
+// that a double counter holds it exactly.
+double ArcChecksum(const Graph& g);
 
 }  // namespace bench
 }  // namespace qsc

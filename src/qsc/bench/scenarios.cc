@@ -261,6 +261,25 @@ void RegisterColoringScenarios() {
             BuildReducedGraph(input.first, input.second, ReducedWeight::kSum);
         counters = {{"reduced_arcs", static_cast<double>(reduced.num_arcs())}};
       });
+  RegisterKernel(
+      "coloring/reduced-directed-ba-100k-c128", "coloring", /*smoke=*/true,
+      "reduced-graph construction on servebench's directed 100k-node BA "
+      "graph at edit-churn's 128-color cap (the rebuild behind each "
+      "tolerant MaxFlow after an edit batch)",
+      [](const BenchContext& ctx) {
+        Graph g = DirectedBa100k(ctx.seed ^ 0x9a32);
+        RothkoOptions options;
+        options.max_colors = 128;
+        Partition p = RothkoColoring(g, options);
+        return std::make_pair(std::move(g), std::move(p));
+      },
+      [](const std::pair<Graph, Partition>& input,
+         std::vector<std::pair<std::string, double>>& counters) {
+        const Graph reduced =
+            BuildReducedGraph(input.first, input.second, ReducedWeight::kSum);
+        counters = {{"reduced_arcs", static_cast<double>(reduced.num_arcs())},
+                    {"weight_checksum", ArcChecksum(reduced)}};
+      });
 }
 
 // --- pipelines group -----------------------------------------------------

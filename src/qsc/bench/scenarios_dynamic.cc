@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "qsc/api/compressor.h"
-#include "qsc/api/hashing.h"
 #include "qsc/bench/scenario.h"
 #include "qsc/dynamic/edit_stream.h"
 #include "qsc/graph/generators.h"
@@ -185,18 +184,6 @@ void RegisterChurn(const char* name, const char* description,
         };
         return r;
       }));
-}
-
-// FNV-1a over every arc's (src, dst, weight bits), folded to 48 bits so
-// that a double counter holds it exactly.
-double ArcChecksum(const Graph& g) {
-  uint64_t h = api_internal::kFnvOffsetBasis;
-  for (const EdgeTriple& a : g.Arcs()) {
-    h = api_internal::HashMixWord(
-        h, (static_cast<uint64_t>(a.src) << 32) | static_cast<uint32_t>(a.dst));
-    h = api_internal::HashMixDouble(h, a.weight);
-  }
-  return static_cast<double>(h & ((uint64_t{1} << 48) - 1));
 }
 
 // True when `g` differs from FromArcs over its own arc list in any field

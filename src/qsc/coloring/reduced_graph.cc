@@ -1,8 +1,9 @@
 #include "qsc/coloring/reduced_graph.h"
 
 #include <cmath>
-#include <unordered_map>
 #include <vector>
+
+#include "qsc/coloring/color_pair_sums.h"
 
 namespace qsc {
 
@@ -11,40 +12,34 @@ Graph BuildReducedGraph(const GraphView& g, const Partition& p,
   QSC_CHECK_EQ(g.num_nodes(), p.num_nodes());
   const ColorId k = p.num_colors();
   // Aggregate arc weights between ordered color pairs.
-  std::unordered_map<uint64_t, double> totals;
-  totals.reserve(g.num_arcs() / 4 + 1);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const ColorId cu = p.ColorOf(u);
-    for (const NeighborEntry& e : g.OutNeighbors(u)) {
-      const ColorId cv = p.ColorOf(e.node);
-      const uint64_t key =
-          (static_cast<uint64_t>(cu) << 32) | static_cast<uint32_t>(cv);
-      totals[key] += e.weight;
-    }
-  }
   std::vector<EdgeTriple> arcs;
-  arcs.reserve(totals.size());
-  for (const auto& [key, total] : totals) {
-    const ColorId i = static_cast<ColorId>(key >> 32);
-    const ColorId j = static_cast<ColorId>(key & 0xffffffffu);
-    double w = total;
-    const double si = static_cast<double>(p.ColorSize(i));
-    const double sj = static_cast<double>(p.ColorSize(j));
-    switch (weight) {
-      case ReducedWeight::kSum:
-        break;
-      case ReducedWeight::kMean:
-        w /= si * sj;
-        break;
-      case ReducedWeight::kSqrtNormalized:
-        w /= std::sqrt(si * sj);
-        break;
-    }
-    // For undirected graphs both arc directions were aggregated; emit only
-    // the canonical one and let FromEdges mirror it.
-    if (g.undirected() && i > j) continue;
-    arcs.push_back({i, j, w});
-  }
+  SumColorPairs(
+      g.num_nodes(), k, k, g.num_arcs(),
+      [&p](int64_t u) { return p.ColorOf(static_cast<NodeId>(u)); },
+      [&g, &p](int64_t u, auto add) {
+        for (const NeighborEntry& e : g.OutNeighbors(static_cast<NodeId>(u))) {
+          add(p.ColorOf(e.node), e.weight);
+        }
+      },
+      [&](ColorId i, ColorId j, double total) {
+        // For undirected graphs both arc directions were aggregated; emit
+        // only the canonical one and let FromEdges mirror it.
+        if (g.undirected() && i > j) return;
+        double w = total;
+        const double si = static_cast<double>(p.ColorSize(i));
+        const double sj = static_cast<double>(p.ColorSize(j));
+        switch (weight) {
+          case ReducedWeight::kSum:
+            break;
+          case ReducedWeight::kMean:
+            w /= si * sj;
+            break;
+          case ReducedWeight::kSqrtNormalized:
+            w /= std::sqrt(si * sj);
+            break;
+        }
+        arcs.push_back({i, j, w});
+      });
   return Graph::FromEdges(k, arcs, g.undirected());
 }
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "qsc/coloring/color_pair_sums.h"
 #include "qsc/graph/graph.h"
 #include "qsc/util/timer.h"
 
@@ -62,57 +62,52 @@ ReducedLp ExtractReducedLp(const LpProblem& lp, const Partition& p,
   // pinned objective/rhs singletons.
   const ColorId obj_color = p.ColorOf(ObjectiveRow(lp));
   const ColorId rhs_color = p.ColorOf(RhsColumn(lp));
-  std::unordered_map<ColorId, int32_t> row_id, col_id;
+  std::vector<int32_t> row_id(p.num_colors(), -1);
+  std::vector<int32_t> col_id(p.num_colors(), -1);
+  int32_t k = 0, l = 0;
   out.row_color.resize(m);
   out.col_color.resize(n);
   for (int32_t i = 0; i < m; ++i) {
     const ColorId c = p.ColorOf(i);
     QSC_CHECK_NE(c, obj_color);
     QSC_CHECK_NE(c, rhs_color);
-    auto [it, inserted] =
-        row_id.try_emplace(c, static_cast<int32_t>(row_id.size()));
-    out.row_color[i] = it->second;
+    if (row_id[c] < 0) row_id[c] = k++;
+    out.row_color[i] = row_id[c];
   }
   for (int32_t j = 0; j < n; ++j) {
     const ColorId c = p.ColorOf(ColumnBase(lp) + j);
     QSC_CHECK_NE(c, obj_color);
     QSC_CHECK_NE(c, rhs_color);
-    auto [it, inserted] =
-        col_id.try_emplace(c, static_cast<int32_t>(col_id.size()));
-    out.col_color[j] = it->second;
+    if (col_id[c] < 0) col_id[c] = l++;
+    out.col_color[j] = col_id[c];
   }
-  const int32_t k = static_cast<int32_t>(row_id.size());
-  const int32_t l = static_cast<int32_t>(col_id.size());
   out.row_color_size.assign(k, 0);
   out.col_color_size.assign(l, 0);
   for (int32_t i = 0; i < m; ++i) ++out.row_color_size[out.row_color[i]];
   for (int32_t j = 0; j < n; ++j) ++out.col_color_size[out.col_color[j]];
 
   // Block sums A(P_r, Q_s), b(P_r), c(Q_s).
-  std::unordered_map<int64_t, double> block;
-  block.reserve(lp.entries.size() / 2 + 1);
-  for (const LpEntry& e : lp.entries) {
-    const int64_t key = static_cast<int64_t>(out.row_color[e.row]) * l +
-                        out.col_color[e.col];
-    block[key] += e.value;
-  }
   std::vector<double> b_sum(k, 0.0), c_sum(l, 0.0);
   for (int32_t i = 0; i < m; ++i) b_sum[out.row_color[i]] += lp.b[i];
   for (int32_t j = 0; j < n; ++j) c_sum[out.col_color[j]] += lp.c[j];
 
   out.lp.num_rows = k;
   out.lp.num_cols = l;
-  out.lp.entries.reserve(block.size());
-  for (const auto& [key, sum] : block) {
-    const int32_t r = static_cast<int32_t>(key / l);
-    const int32_t s = static_cast<int32_t>(key % l);
-    const double pr = static_cast<double>(out.row_color_size[r]);
-    const double qs = static_cast<double>(out.col_color_size[s]);
-    const double value = variant == LpReduction::kSqrtNormalized
-                             ? sum / std::sqrt(pr * qs)
-                             : sum / qs;
-    if (value != 0.0) out.lp.entries.push_back({r, s, value});
-  }
+  const int64_t nnz = static_cast<int64_t>(lp.entries.size());
+  SumColorPairs(
+      nnz, k, l, nnz,
+      [&](int64_t e) { return out.row_color[lp.entries[e].row]; },
+      [&](int64_t e, auto add) {
+        add(out.col_color[lp.entries[e].col], lp.entries[e].value);
+      },
+      [&](int32_t r, int32_t s, double sum) {
+        const double pr = static_cast<double>(out.row_color_size[r]);
+        const double qs = static_cast<double>(out.col_color_size[s]);
+        const double value = variant == LpReduction::kSqrtNormalized
+                                 ? sum / std::sqrt(pr * qs)
+                                 : sum / qs;
+        if (value != 0.0) out.lp.entries.push_back({r, s, value});
+      });
   out.lp.b.resize(k);
   out.lp.c.resize(l);
   for (int32_t r = 0; r < k; ++r) {

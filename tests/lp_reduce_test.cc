@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "qsc/lp/generators.h"
 #include "qsc/lp/simplex.h"
+#include "qsc/util/random.h"
 #include "qsc/util/stats.h"
 
 namespace qsc {
@@ -219,6 +225,132 @@ TEST(LpColoringRefinerDeathTest, ValidatesBeforeBuildingTheMatrixGraph) {
   short_b.b.pop_back();
   EXPECT_DEATH({ LpColoringRefiner refiner(short_b, options); },
                "ValidateLp");
+}
+
+// The map-based ExtractReducedLp that preceded its dense accumulator, kept
+// as the bit-identity reference: first-appearance color numbering, block
+// sums in entry order.
+ReducedLp ReferenceExtractReducedLp(const LpProblem& lp, const Partition& p,
+                                    LpReduction variant) {
+  const int32_t m = lp.num_rows;
+  const int32_t n = lp.num_cols;
+  ReducedLp out;
+  out.variant = variant;
+  std::map<ColorId, int32_t> row_id, col_id;
+  for (int32_t i = 0; i < m; ++i) {
+    const auto it = row_id.try_emplace(p.ColorOf(i),
+                                       static_cast<int32_t>(row_id.size()));
+    out.row_color.push_back(it.first->second);
+  }
+  for (int32_t j = 0; j < n; ++j) {
+    const auto it = col_id.try_emplace(p.ColorOf(m + 1 + j),
+                                       static_cast<int32_t>(col_id.size()));
+    out.col_color.push_back(it.first->second);
+  }
+  const int32_t k = static_cast<int32_t>(row_id.size());
+  const int32_t l = static_cast<int32_t>(col_id.size());
+  out.row_color_size.assign(k, 0);
+  out.col_color_size.assign(l, 0);
+  for (int32_t i = 0; i < m; ++i) ++out.row_color_size[out.row_color[i]];
+  for (int32_t j = 0; j < n; ++j) ++out.col_color_size[out.col_color[j]];
+  std::map<std::pair<int32_t, int32_t>, double> block;
+  for (const LpEntry& e : lp.entries) {
+    block[{out.row_color[e.row], out.col_color[e.col]}] += e.value;
+  }
+  std::vector<double> b_sum(k, 0.0), c_sum(l, 0.0);
+  for (int32_t i = 0; i < m; ++i) b_sum[out.row_color[i]] += lp.b[i];
+  for (int32_t j = 0; j < n; ++j) c_sum[out.col_color[j]] += lp.c[j];
+  const bool sqrt_norm = variant == LpReduction::kSqrtNormalized;
+  out.lp.num_rows = k;
+  out.lp.num_cols = l;
+  for (const auto& [key, sum] : block) {
+    const double pr = static_cast<double>(out.row_color_size[key.first]);
+    const double qs = static_cast<double>(out.col_color_size[key.second]);
+    const double value = sqrt_norm ? sum / std::sqrt(pr * qs) : sum / qs;
+    if (value != 0.0) out.lp.entries.push_back({key.first, key.second, value});
+  }
+  for (int32_t r = 0; r < k; ++r) {
+    const double pr = static_cast<double>(out.row_color_size[r]);
+    out.lp.b.push_back(sqrt_norm ? b_sum[r] / std::sqrt(pr) : b_sum[r]);
+  }
+  for (int32_t s = 0; s < l; ++s) {
+    const double qs = static_cast<double>(out.col_color_size[s]);
+    out.lp.c.push_back(sqrt_norm ? c_sum[s] / std::sqrt(qs) : c_sum[s] / qs);
+  }
+  CanonicalizeLp(out.lp);
+  return out;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(ExtractReducedLpTest, BitIdenticalToMapReference) {
+  // Unsorted entries with order-sensitive (1e16) and cancelling values;
+  // from one row and column color each up to the discrete partition, so
+  // both the single-block and the multi-block accumulator run.
+  static constexpr double kValues[] = {1.0, -1.0, 1e16, -1e16, 0.5, -2.25};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    LpProblem lp;
+    lp.num_rows = 20 + static_cast<int32_t>(rng.NextBounded(20));
+    lp.num_cols = 20 + static_cast<int32_t>(rng.NextBounded(20));
+    for (int32_t e = 0; e < 2 * lp.num_rows; ++e) {
+      lp.entries.push_back(
+          {static_cast<int32_t>(rng.NextBounded(lp.num_rows)),
+           static_cast<int32_t>(rng.NextBounded(lp.num_cols)),
+           kValues[rng.NextBounded(std::size(kValues))]});
+    }
+    for (int32_t i = 0; i < lp.num_rows; ++i) {
+      lp.b.push_back(kValues[rng.NextBounded(std::size(kValues))]);
+    }
+    for (int32_t j = 0; j < lp.num_cols; ++j) {
+      lp.c.push_back(kValues[rng.NextBounded(std::size(kValues))]);
+    }
+    for (int32_t colors = 1; colors <= lp.num_cols; ++colors) {
+      // Matrix-graph labels: rows and columns drawn from disjoint label
+      // ranges, the objective row and the rhs column singletons.
+      const int32_t m = lp.num_rows, n = lp.num_cols;
+      std::vector<int32_t> labels(m + n + 2);
+      for (int32_t i = 0; i < m; ++i) {
+        labels[i] = static_cast<int32_t>(rng.NextBounded(colors));
+      }
+      labels[m] = -1;
+      for (int32_t j = 0; j < n; ++j) {
+        labels[m + 1 + j] =
+            1000 + static_cast<int32_t>(rng.NextBounded(colors));
+      }
+      labels[m + n + 1] = -2;
+      const Partition p = Partition::FromColorIds(labels);
+      for (const LpReduction variant :
+           {LpReduction::kSqrtNormalized, LpReduction::kGrohe}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " colors " << colors);
+        const ReducedLp got = ExtractReducedLp(lp, p, variant);
+        const ReducedLp want = ReferenceExtractReducedLp(lp, p, variant);
+        EXPECT_EQ(got.row_color, want.row_color);
+        EXPECT_EQ(got.col_color, want.col_color);
+        EXPECT_EQ(got.row_color_size, want.row_color_size);
+        EXPECT_EQ(got.col_color_size, want.col_color_size);
+        ASSERT_EQ(got.lp.num_rows, want.lp.num_rows);
+        ASSERT_EQ(got.lp.num_cols, want.lp.num_cols);
+        ASSERT_EQ(got.lp.entries.size(), want.lp.entries.size());
+        for (size_t e = 0; e < want.lp.entries.size(); ++e) {
+          EXPECT_EQ(got.lp.entries[e].row, want.lp.entries[e].row);
+          EXPECT_EQ(got.lp.entries[e].col, want.lp.entries[e].col);
+          EXPECT_TRUE(
+              SameBits(got.lp.entries[e].value, want.lp.entries[e].value))
+              << got.lp.entries[e].value << " vs " << want.lp.entries[e].value;
+        }
+        for (int32_t r = 0; r < want.lp.num_rows; ++r) {
+          EXPECT_TRUE(SameBits(got.lp.b[r], want.lp.b[r]));
+        }
+        for (int32_t s = 0; s < want.lp.num_cols; ++s) {
+          EXPECT_TRUE(SameBits(got.lp.c[s], want.lp.c[s]));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
